@@ -1,0 +1,5 @@
+"""Benchmark self-tests import the package from the sources next door."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
