@@ -1,15 +1,17 @@
 """Command line front end: generate, detect, classes, lexicon validate.
 
-Exit codes: 0 success, 1 bad input (unreadable or invalid lexicon,
-unknown class, bad override, bad flag), 2 generation produced nothing
-because every schema was skipped.
+Exit codes: 0 success, 1 bad input (unreadable or non-UTF-8 input or
+lexicon, invalid lexicon, unknown class, bad override, bad flag), 2
+generation produced nothing because every schema was skipped.
 """
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -18,17 +20,46 @@ from .generator import BadOverrideError, GeneratedSentence, generate_batch
 from .lexicon import Lexicon, ValidationReport, parse_lexicon
 from .schema import Schema, builtin_registry, render_template
 
-# Keep usage errors (bad flag values) on exit code 1; 2 is reserved for
-# "nothing generated".
-click.UsageError.exit_code = 1
 
-
-def _read_text(path: str) -> str:
+@contextmanager
+def _usage_errors_exit_1() -> Iterator[None]:
     try:
+        yield
+    except click.UsageError as err:
+        err.exit_code = 1
+        raise
+
+
+class _Main(click.Group):
+    """Usage errors (bad flags, bad flag values) exit 1, not click's 2,
+    because 2 is reserved for "nothing generated". The exit code is set
+    on each raised error, so other click programs in the process keep
+    click's default."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _usage_errors_exit_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _usage_errors_exit_1():
+            return super().invoke(ctx)
+
+
+def _read_text(path: str | None) -> str:
+    """The text of a UTF-8 file, or of stdin when path is None."""
+    try:
+        if path is None:
+            return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(1)
+
+
+def _check_min_score(_ctx: click.Context, _param: click.Parameter, value: float) -> float:
+    if not 0.0 <= value <= 1.0:          # also false for nan
+        raise click.BadParameter(f"{value} is not a number in [0, 1]")
+    return value
 
 
 def _load_lexicon(path: str | None) -> Lexicon:
@@ -67,7 +98,7 @@ def _sentence_record(s: GeneratedSentence) -> str:
     })
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Paradox and tautology sentences: generate them, detect them."""
 
@@ -116,7 +147,8 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
 @click.option("--input", "input_path", default="-", show_default=True,
               help="File of sentences, one per line; '-' reads stdin.")
 @click.option("--min-score", type=float, default=0.5, show_default=True,
-              help="Keep detections scoring at least this.")
+              callback=_check_min_score,
+              help="Keep detections scoring at least this, from 0 to 1.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "text"]),
               default="jsonl", show_default=True)
 @click.option("--stats", is_flag=True,
@@ -126,7 +158,7 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
     """Detect schema instances in text, one sentence per line."""
     lexicon = _load_lexicon(lexicon_path)
     registry = builtin_registry()
-    text = sys.stdin.read() if input_path == "-" else _read_text(input_path)
+    text = _read_text(None if input_path == "-" else input_path)
     lines = text.splitlines()
     detections, counts = scan_corpus(lexicon, registry, lines, min_score)
     for d in detections:

@@ -3,15 +3,16 @@
 Matching is two-phase. Phase one aligns the whole normalized token
 sequence against the schema: literals must appear verbatim, slots
 capture one to three tokens, shortest capture first, leftmost binding
-wins. Phase two checks each non-base slot's relation to its group base
-and records one evidence item per satisfied relation. The skeleton
-decides whether a sentence has a schema's shape; the relations decide
-the score. An unknown base word leaves its relations checked but
-unsatisfied, so a skeleton-only match scores 0.
+wins. Only that first alignment is scored, even when another one would
+satisfy more relations (README detection rule 2). Phase two checks each
+non-base slot's relation to its group base and records one evidence
+item per satisfied relation. The skeleton decides whether a sentence
+has a schema's shape; the relations decide the score. An unknown base
+word leaves its relations checked but unsatisfied, so a skeleton-only
+match scores 0.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -61,82 +62,58 @@ class Detection:
     evidence: tuple[Evidence, ...]
 
 
-@dataclass(frozen=True)
-class _Lit:
-    tokens: tuple[str, ...]
+_ARTICLE_PATTERN = "(?:a|an)"
+_SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
 
 
 @dataclass(frozen=True)
-class _Article:
-    pass
+class _CompiledSchema:
+    """What detection needs of a schema, worked out once per schema.
 
-
-@dataclass(frozen=True)
-class _Slot:
-    ordinal: int
-
-
-@functools.lru_cache(maxsize=512)
-def _compile(schema: Schema) -> tuple[tuple[_Lit | _Article | _Slot, ...], int]:
-    """Schema -> match elements + literal token count (used for ranking).
-
-    Article markers become their own element accepting "a" or "an" and
-    count as one literal token.
+    `regex` is matched against the sentence's normalized tokens joined by
+    single spaces. Each element is one space-separated piece: an escaped
+    literal token, `(?:a|an)` for an article marker, or a lazy group of
+    one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
+    alignments in the order of rule 2, leftmost slot shortest first.
     """
-    elements: list[_Lit | _Article | _Slot] = []
-    literal_count = 0
-    ordinal = 0
+    regex: re.Pattern[str]
+    specs: tuple[SlotSpec, ...]
+    base_ordinals: tuple[int, ...]            # per slot: its group's base slot
+    group_bases: tuple[tuple[int, int], ...]  # (group id, base ordinal)
+    rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
 
-    def push_literal(text: str) -> None:
-        nonlocal literal_count
-        toks = normalize(text)
-        if toks:
-            elements.append(_Lit(toks))
-            literal_count += len(toks)
 
+def _compiled(schema: Schema) -> _CompiledSchema:
+    """The schema's compiled form, built on first use and kept on the
+    instance, so a lookup never hashes the schema's token tree."""
+    try:
+        return schema.__dict__["_compiled"]
+    except KeyError:
+        form = _compile_schema(schema)
+        object.__setattr__(schema, "_compiled", form)
+        return form
+
+
+def _compile_schema(schema: Schema) -> _CompiledSchema:
+    parts: list[str] = []
     for token in schema.tokens:
         if isinstance(token, SlotToken):
-            elements.append(_Slot(ordinal))
-            ordinal += 1
+            parts.append(_SLOT_PATTERN)
             continue
-        pos = 0
-        for m in ARTICLE_MARKER_RE.finditer(token.text):
-            push_literal(token.text[pos:m.start()])
-            elements.append(_Article())
-            literal_count += 1
-            pos = m.end()
-        push_literal(token.text[pos:])
-    return tuple(elements), literal_count
-
-
-def _align(elements: Sequence[_Lit | _Article | _Slot],
-           tokens: tuple[str, ...]) -> dict[int, tuple[int, int]] | None:
-    """First alignment in shortest-capture order, or None."""
-    n = len(tokens)
-
-    def rec(ei: int, pos: int) -> dict[int, tuple[int, int]] | None:
-        if ei == len(elements):
-            return {} if pos == n else None
-        el = elements[ei]
-        if isinstance(el, _Lit):
-            end = pos + len(el.tokens)
-            if tokens[pos:end] == el.tokens:
-                return rec(ei + 1, end)
-            return None
-        if isinstance(el, _Article):
-            if pos < n and tokens[pos] in ("a", "an"):
-                return rec(ei + 1, pos + 1)
-            return None
-        for span in range(1, MAX_SLOT_SPAN + 1):
-            if pos + span > n:
-                break
-            rest = rec(ei + 1, pos + span)
-            if rest is not None:
-                rest[el.ordinal] = (pos, pos + span)
-                return rest
-        return None
-
-    return rec(0, 0)
+        pieces = ARTICLE_MARKER_RE.split(token.text)
+        for i, piece in enumerate(pieces):
+            if i:
+                parts.append(_ARTICLE_PATTERN)
+            parts.extend(re.escape(t) for t in normalize(piece))
+    specs = schema.slot_specs()
+    group_bases = {gid: schema.base_ordinal(gid) for gid in schema.groups()}
+    return _CompiledSchema(
+        regex=re.compile(" ".join(parts)),
+        specs=specs,
+        base_ordinals=tuple(group_bases[spec.group_id] for spec in specs),
+        group_bases=tuple(group_bases.items()),
+        rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
+    )
 
 
 def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
@@ -177,21 +154,16 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
     return None
 
 
-def _match_tokens(lexicon: Lexicon, schema: Schema, tokens: tuple[str, ...],
-                  sentence_index: int) -> Detection | None:
-    elements, _count = _compile(schema)
-    captures = _align(elements, tokens)
-    if captures is None:
-        return None
-    specs = schema.slot_specs()
-    spans = {i: tokens[captures[i][0]:captures[i][1]] for i in captures}
-    joined = {i: "-".join(spans[i]) for i in captures}
-    bases = {gid: joined[schema.base_ordinal(gid)] for gid in schema.groups()}
+def _detection(lexicon: Lexicon, class_id: str, form: _CompiledSchema,
+               match: re.Match[str], sentence_index: int) -> Detection:
+    captured = match.groups()
+    spans = [tuple(c.split(" ")) for c in captured]
+    joined = [c.replace(" ", "-") for c in captured]
+    bases = {gid: joined[ordinal] for gid, ordinal in form.group_bases}
 
     checked = satisfied = 0
     evidence: list[Evidence] = []
-    for i, spec in enumerate(specs):
-        base_ordinal = schema.base_ordinal(spec.group_id)
+    for i, (spec, base_ordinal) in enumerate(zip(form.specs, form.base_ordinals)):
         if i == base_ordinal:
             continue
         checked += 1
@@ -201,15 +173,18 @@ def _match_tokens(lexicon: Lexicon, schema: Schema, tokens: tuple[str, ...],
             satisfied += 1
             evidence.append(Evidence(i, kind))
     score = satisfied / checked if checked else 1.0
-    binding = Binding(bases, tuple(joined[i] for i in range(len(specs))))
-    return Detection(schema.class_id, binding, score, checked, satisfied,
-                     sentence_index, tuple(evidence))
+    return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
+                     satisfied, sentence_index, tuple(evidence))
 
 
 def match_schema(lexicon: Lexicon, schema: Schema, sentence: str,
                  sentence_index: int = 0) -> Detection | None:
     """Match one schema against one sentence; None when the skeleton is absent."""
-    return _match_tokens(lexicon, schema, normalize(sentence), sentence_index)
+    form = _compiled(schema)
+    match = form.regex.fullmatch(" ".join(normalize(sentence)))
+    if match is None:
+        return None
+    return _detection(lexicon, schema.class_id, form, match, sentence_index)
 
 
 def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
@@ -223,16 +198,17 @@ def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
     tokens = normalize(sentence)
     if not tokens:
         return []
-    ranked: list[tuple[float, int, tuple[int, str], Detection]] = []
+    text = " ".join(tokens)
+    ranked: list[tuple[float, tuple[int, tuple[int, str]], Detection]] = []
     for schema in registry:
-        detection = _match_tokens(lexicon, schema, tokens, sentence_index)
-        if detection is None:
+        form = _compiled(schema)
+        match = form.regex.fullmatch(text)
+        if match is None:
             continue
-        _elements, literal_count = _compile(schema)
-        ranked.append((-detection.score, -literal_count,
-                       class_sort_key(schema.class_id), detection))
-    ranked.sort(key=lambda item: item[:3])
-    return [item[3] for item in ranked]
+        detection = _detection(lexicon, schema.class_id, form, match, sentence_index)
+        ranked.append((-detection.score, form.rank_key, detection))
+    ranked.sort(key=lambda item: item[:2])
+    return [item[2] for item in ranked]
 
 
 def scan_corpus(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[str],

@@ -67,7 +67,7 @@ class BatchResult:
     skips: tuple[SkippedSchema, ...]
 
 
-def _needs_antonym(lexicon: Lexicon, specs: Sequence[SlotSpec], group_id: int) -> bool:
+def _needs_antonym(specs: Sequence[SlotSpec], group_id: int) -> bool:
     return any(s.group_id == group_id and s.relation is Relation.ANTONYM for s in specs)
 
 
@@ -114,7 +114,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
     bases: dict[int, str] = {}
     for gid, _ordinals in schema.groups().items():
         pos = next(s.symbol for s in specs if s.group_id == gid)
-        need_ant = _needs_antonym(lexicon, specs, gid)
+        need_ant = _needs_antonym(specs, gid)
         if gid in overrides:
             word = overrides[gid].lower()
             if lexicon.entry(word, pos) is None:

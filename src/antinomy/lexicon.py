@@ -171,13 +171,14 @@ def parse_lexicon(source: str) -> Lexicon | ValidationReport:
     entries, references to words with no entry under the same pos.
     Recoverable, repaired with a report entry: one-directional antonym
     pairs, self-antonyms. A returned Lexicon carries its repair report
-    in `.report`.
+    in `.report`. One leading byte order mark is ignored.
     """
     defects: list[Defect] = []
     repairs: list[Repair] = []
     parsed: dict[tuple[str, PartOfSpeech], tuple[list[str], list[str]]] = {}
     order: list[tuple[str, PartOfSpeech]] = []
 
+    source = source.removeprefix("\ufeff")
     for line_no, line in enumerate(source.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -150,6 +151,48 @@ def test_generate_unreadable_lexicon(tmp_path):
 def test_bad_flag_values_exit_1(args):
     res = runner.invoke(main, args)
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "5"])
+def test_detect_min_score_out_of_range_exit_1(value):
+    res = runner.invoke(main, ["detect", "--min-score", value], input="Hell without hell.\n")
+    assert res.exit_code == 1
+    assert "--min-score" in res.stderr
+    assert res.stdout == ""
+
+
+def test_usage_error_exit_code_stays_local():
+    assert click.UsageError.exit_code == 2
+    res = runner.invoke(main, ["generate", "--count", "-1"])
+    assert res.exit_code == 1
+    assert click.UsageError.exit_code == 2
+
+
+@pytest.fixture
+def latin1_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"x \xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "--input", "{}"],
+    ["detect", "--lexicon", "{}"],
+    ["generate", "--lexicon", "{}"],
+    ["lexicon", "validate", "{}"],
+])
+def test_non_utf8_file_exit_1(args, latin1_file):
+    res = runner.invoke(main, [a.format(latin1_file) for a in args])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ")
+    assert "utf-8" in res.stderr
+
+
+def test_non_utf8_stdin_exit_1():
+    res = runner.invoke(main, ["detect"], input=b"x \xff\n")
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ")
 
 
 def test_detect_reads_stdin():

@@ -177,6 +177,16 @@ def test_shortest_capture_wins():
     assert det.binding.realized[0] == "work"
 
 
+def test_only_the_first_alignment_is_scored(demo_lexicon, registry):
+    # {V} takes "which know" before {N} could take "slavery which"; that
+    # first alignment scores 0 although the second would score 1.
+    line = "There is some slavery which which know and really not to know at the same time."
+    top = classify(demo_lexicon, registry, line)[0]
+    assert (top.class_id, top.score) == ("6", 0.0)
+    assert top.binding.bases == {0: "slavery", 1: "which-know"}
+    assert top.binding.realized == ("slavery", "which-know", "not-to-know")
+
+
 def test_classify_orders_by_score(demo_lexicon, registry):
     ranked = classify(demo_lexicon, registry, "Follower of the followers.")
     assert ranked

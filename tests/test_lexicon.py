@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 from antinomy import (DanglingReference, DuplicateEntry, Lexicon, MalformedLine,
                       PartOfSpeech, SelfReferenceDropped, SymmetryRepair,
@@ -166,3 +167,10 @@ def test_random_sources_parse_symmetric_and_round_trip():
                 assert entry.surface in lex.antonyms(ant, entry.pos)
         again = parse_lexicon(serialize_lexicon(lex))
         assert again == lex
+
+
+def test_leading_byte_order_mark_is_ignored():
+    source = (resources.files("antinomy") / "data" / "demo.lex").read_text(encoding="utf-8")
+    plain = parse_lexicon(source)
+    assert isinstance(plain, Lexicon)
+    assert parse_lexicon("\ufeff" + source) == plain
