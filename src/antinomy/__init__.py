@@ -16,7 +16,7 @@ from .lexicon import (DanglingReference, DuplicateEntry, LexEntry, Lexicon,
                       SymmetryRepair, ValidationReport, parse_lexicon,
                       serialize_lexicon)
 from .morphology import (Derivation, EmptyPhraseError, agentive, agentive_bases,
-                         apply_derivations, derived_bases, gerund, gerund_bases,
+                         apply_derivations, gerund, gerund_bases,
                          indefinite_article, negated_infinitive, plural_bases,
                          pluralize)
 from .rng import SplitMix64, sub_seed
@@ -36,7 +36,7 @@ __all__ = [
     "SlotSpec", "SlotToken", "SplitMix64", "SymmetryRepair", "TemplateError",
     "ValidationReport", "agentive", "agentive_bases", "apply_derivations",
     "builtin_registry", "class_sort_key",
-    "classify", "derived_bases", "dump_catalog", "generate", "generate_batch",
+    "classify", "dump_catalog", "generate", "generate_batch",
     "gerund", "gerund_bases", "indefinite_article", "load_catalog",
     "match_schema", "negated_infinitive", "normalize", "parse_lexicon",
     "parse_template", "plural_bases", "pluralize", "render_template",

@@ -1,9 +1,10 @@
 """Rule-based English surface forms for slot fills.
 
 Small closed rule set, no exception dictionaries. Callers that know an
-irregular agent noun pass it as an override. Every forward rule has an
-inverse candidate generator used by detection; candidates are verified
-by re-applying the forward rule, so the two directions cannot drift.
+irregular agent noun pass it as an override. The plural, agentive and
+gerund rules each have an inverse candidate generator used by
+detection; candidates are verified by re-applying the forward rule, so
+the two directions cannot drift.
 """
 from __future__ import annotations
 
@@ -145,26 +146,3 @@ def gerund_bases(word: str) -> tuple[str, ...]:
         raw.append(word[:-3] + "e")
         raw.append(word[:-3])
     return _verified(word, raw, gerund)
-
-
-def derived_bases(word: str, derivations: tuple[Derivation, ...]) -> tuple[str, ...]:
-    """Invert a derivation chain: candidates c with apply_derivations(c) == word."""
-    candidates = (word,)
-    for step in reversed(derivations):
-        next_out: list[str] = []
-        for cand in candidates:
-            if step is Derivation.AGENTIVE:
-                found = agentive_bases(cand)
-            elif step is Derivation.GERUND:
-                found = gerund_bases(cand)
-            elif step is Derivation.PLURAL:
-                found = plural_bases(cand)
-            elif cand.startswith("not to "):
-                found = (cand[len("not to "):],)
-            else:
-                found = ()
-            for c in found:
-                if c not in next_out:
-                    next_out.append(c)
-        candidates = tuple(next_out)
-    return tuple(c for c in candidates if apply_derivations(c, derivations) == word)

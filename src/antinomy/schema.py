@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import re
+from importlib import resources
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -309,95 +310,16 @@ def class_sort_key(class_id: str) -> tuple[int, str]:
     return (int(m.group(1)), m.group(2))
 
 
-# One schema per pattern. Classes with several patterns get suffixed ids.
-# 23 and 27 are intentionally byte-identical; detection ties resolve to 23.
-_CLASS_TABLE: tuple[tuple[str, SchemaKind, str, str], ...] = (
-    ("1", SchemaKind.PARADOX, "everything includes its opposite",
-     "All is {A}, the {~A} too."),
-    ("2n", SchemaKind.PARADOX, "the opposite makes a better noun",
-     "{~N} is a better {N}."),
-    ("2a", SchemaKind.PARADOX, "the opposite makes a better attribute",
-     "{~A} is a better {A}."),
-    ("2v", SchemaKind.PARADOX, "the opposite makes a better verb",
-     "{~V} is a better {V}."),
-    ("3n", SchemaKind.PARADOX, "only the noun is truly its opposite",
-     "Only {N} is truly a(n) {~N}."),
-    ("3a", SchemaKind.PARADOX, "only the attribute is truly its opposite",
-     "Only {A} is truly a(n) {~A}."),
-    ("4", SchemaKind.PARADOX, "so much so that it looks the opposite",
-     "This is so {A}, that it looks {~A}."),
-    ("5", SchemaKind.PARADOX, "both attributes at the same time",
-     "There is some {N} which is {A} and {~A} at the same time."),
-    ("6", SchemaKind.PARADOX, "does and undoes at the same time",
-     "There is some {N} which {V} and really {~V} at the same time."),
-    ("7", SchemaKind.PARADOX, "doing even while not doing",
-     "To {V}, even when {~V}."),
-    ("8", SchemaKind.PARADOX, "enough of its own opposite",
-     "This {N} is enough {~N}."),
-    ("9", SchemaKind.PARADOX, "refraining amounts to doing",
-     "{~V} sometimes means to {V}."),
-    ("10", SchemaKind.PARADOX, "a thing without itself",
-     "{N} without {N}."),
-    ("11a", SchemaKind.PARADOX, "the thing within its opposite",
-     "{N} within the {~N}."),
-    ("11b", SchemaKind.PARADOX, "the opposite in the thing",
-     "{~N} in the {N}."),
-    ("12", SchemaKind.PARADOX, "the attribute of its opposite",
-     "The {A} of the {~A}."),
-    ("13", SchemaKind.PARADOX, "doing what one cannot",
-     "{V} what one {~V}."),
-    ("14", SchemaKind.PARADOX, "acting by not acting",
-     "Let's {V} by not {V:ger}."),
-    ("15", SchemaKind.PARADOX, "a thing of its opposite",
-     "{N} of the {~N}."),
-    ("16", SchemaKind.PARADOX, "the opposite is the thing",
-     "{~A} is {A}."),
-    ("17", SchemaKind.PARADOX, "a thing qualified by its opposite",
-     "A(n) {~N} {N}."),
-    ("18", SchemaKind.PARADOX, "everything has both sides",
-     "Everything has a(n) {A} and a(n) {~A}."),
-    ("19", SchemaKind.PARADOX, "doing what is not done",
-     "{V} what {~V}."),
-    ("20a", SchemaKind.SEMI_PARADOX, "mirror repetition",
-     "{N} of the {N'}."),
-    ("20b", SchemaKind.SEMI_PARADOX, "double mirror repetition",
-     "{N} of the {N'} of the {N''}."),
-    ("21", SchemaKind.TAUTOLOGY, "not this but a synonym of it",
-     "This is not a(n) {N}, this is a(n) {N'}."),
-    ("22n", SchemaKind.TAUTOLOGY, "the noun is not enough of itself",
-     "{N} is not enough {N'}."),
-    ("22a", SchemaKind.TAUTOLOGY, "the attribute is not enough of itself",
-     "{A} is not enough {A'}."),
-    ("23", SchemaKind.TAUTOLOGY, "more than itself",
-     "More {A} than {A'}."),
-    ("24", SchemaKind.TAUTOLOGY, "how true is the so-called thing",
-     "How {A#1} is a(n) {A'#1} {N#2}?"),
-    ("25", SchemaKind.TAUTOLOGY, "none is really itself",
-     "No {A} is really {A'}."),
-    ("26", SchemaKind.TAUTOLOGY, "preferring a word over its synonym",
-     "I would rather prefer {A}, than {A'}."),
-    ("27", SchemaKind.TAUTOLOGY, "more than itself, second reading",
-     "More {A} than {A'}."),
-    ("28", SchemaKind.TAUTOLOGY, "doing back what is done to you",
-     "{V} those who {V'} you."),
-    ("29", SchemaKind.TAUTOLOGY, "because of doing it",
-     "I {V} because I {V'}."),
-    ("30", SchemaKind.TAUTOLOGY, "acting on one's own agents",
-     "I {V} the {V':agent+pl}."),
-)
-
-
 @functools.lru_cache(maxsize=1)
 def builtin_registry() -> tuple[Schema, ...]:
-    """The 36 built-in schemas, in catalog order. Built once, immutable."""
-    return tuple(
-        Schema(class_id, kind, parse_template(dsl), label)
-        for class_id, kind, label, dsl in _CLASS_TABLE
-    )
+    """The 36 built-in schemas of the packaged classes.tsv, in catalog
+    order. Built once, immutable."""
+    catalog = resources.files("antinomy") / "data" / "classes.tsv"
+    return load_catalog(catalog.read_text(encoding="utf-8"))
 
 
 CATALOG_HEADER = (
-    "# class catalog: one schema per line, classId<TAB>kind<TAB>template\n"
+    "# class catalog: one schema per line, classId<TAB>kind<TAB>template<TAB>label\n"
     "# detection: slot captures span 1 to 3 tokens; ranking prefers score,\n"
     "# then literal token count, then the lower classId (so 23 beats 27,\n"
     "# whose template is identical by design)\n"
@@ -405,23 +327,33 @@ CATALOG_HEADER = (
 
 
 def dump_catalog(schemas: tuple[Schema, ...]) -> str:
-    rows = [f"{s.class_id}\t{s.kind.value}\t{render_template(s)}" for s in schemas]
+    rows = [f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}"
+            for s in schemas]
     return CATALOG_HEADER + "\n".join(rows) + "\n"
 
 
 def load_catalog(text: str) -> tuple[Schema, ...]:
-    """Read a catalog file; inverse of dump_catalog up to comments."""
+    """Read a catalog file; inverse of dump_catalog up to comments.
+
+    Rows hold 3 or 4 tab-separated fields; a missing label reads as "".
+    One leading byte order mark is ignored; a repeated class id is an error.
+    """
     schemas = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    seen: set[str] = set()
+    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"catalog line {line_no}: expected 3 fields")
-        class_id, kind_text, dsl = fields
+        if len(fields) not in (3, 4):
+            raise ValueError(f"catalog line {line_no}: expected 3 or 4 fields")
+        class_id, kind_text, dsl = fields[:3]
+        label = fields[3] if len(fields) == 4 else ""
+        if class_id in seen:
+            raise ValueError(f"catalog line {line_no}: duplicate class id {class_id!r}")
+        seen.add(class_id)
         try:
             kind = SchemaKind(kind_text)
         except ValueError:
             raise ValueError(f"catalog line {line_no}: unknown kind {kind_text!r}") from None
-        schemas.append(Schema(class_id, kind, parse_template(dsl)))
+        schemas.append(Schema(class_id, kind, parse_template(dsl), label))
     return tuple(schemas)

@@ -5,6 +5,8 @@ import json
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antinomy import sub_seed
 from antinomy.cli import main
@@ -254,3 +256,26 @@ def test_lexicon_validate_rejects_defects(tmp_path):
     res = runner.invoke(main, ["lexicon", "validate", str(path)])
     assert res.exit_code == 1
     assert "missing" in res.stdout or "duplicate" in res.stdout.lower()
+
+
+_SENTENCES = ("All is possible, the impossible too.", "Hell without hell.",
+              "I hate the haters.", "Follower of the followers.")
+_DETECT_INPUT = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(str.encode),
+    st.lists(st.sampled_from(_SENTENCES) | st.text(max_size=20), max_size=5)
+    .map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=_DETECT_INPUT, fmt=st.sampled_from(["jsonl", "text"]))
+def test_detect_survives_arbitrary_bytes(data, fmt):
+    res = runner.invoke(main, ["detect", "--format", fmt, "--stats"], input=data)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert res.exit_code == 1 and res.stderr.startswith("error:")
+    else:
+        assert res.exit_code == 0, res.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,16 @@ def test_inflected_repeat_counts_as_synonym_suffix():
     nouns = lex("follower\tN\t\t\n")
     schema = make_schema("20a", "{N} of the {N'}.")
     det = match_schema(nouns, schema, "Follower of the followers.")
+    assert det is not None
+    assert det.score == 1.0
+    assert det.evidence == (Evidence(1, EvidenceKind.SUFFIX_INVERSE),)
+
+
+@pytest.mark.parametrize("derived", ["dreamer", "dreaming"])
+def test_agentive_and_gerund_repeats_count_as_synonym_suffix(derived):
+    nouns = lex("dream\tN\t\t\n")
+    schema = make_schema("20a", "{N} of the {N'}.")
+    det = match_schema(nouns, schema, f"Dream of the {derived}.")
     assert det is not None
     assert det.score == 1.0
     assert det.evidence == (Evidence(1, EvidenceKind.SUFFIX_INVERSE),)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antinomy import (Derivation, EmptyPhraseError, agentive, agentive_bases,
-                      apply_derivations, derived_bases, gerund, gerund_bases,
+                      apply_derivations, gerund, gerund_bases,
                       indefinite_article, negated_infinitive, plural_bases,
                       pluralize)
 
@@ -117,12 +117,6 @@ def test_inverse_candidates_verify_forward(word):
 def test_derivations_change_the_word(word):
     for op in (agentive, pluralize, gerund, negated_infinitive):
         assert op(word) != word
-
-
-@given(WORDS)
-def test_derived_bases_round_trip(word):
-    chain = (Derivation.AGENTIVE, Derivation.PLURAL)
-    assert word in derived_bases(apply_derivations(word, chain), chain)
 
 
 def test_inverse_candidates_may_be_plural_ambiguous():

@@ -179,3 +179,28 @@ def test_random_templates_round_trip():
         assert parse_template(rendered) == tokens
         # rendering is a fixed point after one pass
         assert render_tokens(parse_template(rendered)) == rendered
+
+
+def test_catalog_label_column_is_optional():
+    loaded = load_catalog("1\tparadox\t{N} without {N}.\n"
+                          "2\tparadox\t{~N} in the {N}.\tthe opposite in the thing\n")
+    assert [s.label for s in loaded] == ["", "the opposite in the thing"]
+
+
+def test_builtin_labels_come_from_the_catalog():
+    registry = builtin_registry()
+    assert registry[0].label == "everything includes its opposite"
+    assert registry[-1].label == "acting on one's own agents"
+    assert all(s.label for s in registry)
+
+
+def test_catalog_ignores_leading_bom():
+    text = dump_catalog(builtin_registry())
+    assert load_catalog("\ufeff" + text) == builtin_registry()
+    assert load_catalog("\ufeff1\tparadox\t{N} without {N}.\n")[0].class_id == "1"
+
+
+def test_catalog_rejects_duplicate_class_id():
+    text = "1\tparadox\t{N} without {N}.\n# note\n1\tparadox\t{~N} in the {N}.\n"
+    with pytest.raises(ValueError, match="catalog line 3: duplicate class id '1'"):
+        load_catalog(text)
