@@ -11,11 +11,11 @@ import sys
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import click
 
-from .detector import scan_corpus
+from .detector import Detection, scan_corpus
 from .generator import BadOverrideError, GeneratedSentence, generate_batch
 from .lexicon import Lexicon, ValidationReport, parse_lexicon
 from .schema import Schema, builtin_registry, render_template
@@ -86,6 +86,48 @@ def _pick_schemas(class_id: str) -> list[Schema]:
     return chosen
 
 
+_ECHO_BATCH = 64
+
+
+def _echo_lines(lines: Iterable[str]) -> None:
+    """Print each line with its newline, in batches of up to _ECHO_BATCH
+    lines: click.echo flushes on every call, and one joined string for
+    the whole output would hold all of it in memory at once. No lines
+    print nothing."""
+    batch: list[str] = []
+    for line in lines:
+        batch.append(line)
+        if len(batch) == _ECHO_BATCH:
+            click.echo("\n".join(batch))
+            batch.clear()
+    if batch:
+        click.echo("\n".join(batch))
+
+
+def _parse_overrides(slot_options: tuple[str, ...], schemas: list[Schema]) -> dict[int, str]:
+    """GROUP=WORD options as {group: word}. A malformed option, a group
+    given twice or a group none of the schemas has exits 1."""
+    if not slot_options:
+        return {}      # and compile no schema that `--count 0` would never use
+    known = {group.group_id for schema in schemas for group in schema.compiled.groups}
+    overrides: dict[int, str] = {}
+    for option in slot_options:
+        group_text, sep, word = option.partition("=")
+        group = int(group_text) if sep and group_text.isdecimal() and word else None
+        if group is None:
+            error = f"bad --slot {option!r}, expected GROUP=WORD"
+        elif group in overrides:
+            error = f"--slot group {group} given more than once"
+        elif group not in known:
+            error = f"--slot {option!r}: no selected class has group {group}"
+        else:
+            overrides[group] = word
+            continue
+        click.echo(f"error: {error}", err=True)
+        sys.exit(1)
+    return overrides
+
+
 def _sentence_record(s: GeneratedSentence) -> str:
     return json.dumps({
         "class": s.class_id,
@@ -94,6 +136,19 @@ def _sentence_record(s: GeneratedSentence) -> str:
         "binding": {
             "bases": {str(g): w for g, w in sorted(s.binding.bases.items())},
             "realized": list(s.binding.realized),
+        },
+    })
+
+
+def _detection_record(d: Detection) -> str:
+    return json.dumps({
+        "line": d.sentence_index,
+        "class": d.class_id,
+        "score": d.score,
+        "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence],
+        "binding": {
+            "bases": {str(g): w for g, w in sorted(d.binding.bases.items())},
+            "realized": list(d.binding.realized),
         },
     })
 
@@ -121,13 +176,7 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
     """Generate sentences from the built-in schemas."""
     lexicon = _load_lexicon(lexicon_path)
     schemas = _pick_schemas(class_id)
-    overrides: dict[int, str] = {}
-    for option in slot_options:
-        group_text, sep, word = option.partition("=")
-        if not sep or not group_text.isdigit() or not word:
-            click.echo(f"error: bad --slot {option!r}, expected GROUP=WORD", err=True)
-            sys.exit(1)
-        overrides[int(group_text)] = word
+    overrides = _parse_overrides(slot_options, schemas)
     try:
         result = generate_batch(lexicon, schemas, seed, count, overrides)
     except BadOverrideError as err:
@@ -135,8 +184,8 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
         sys.exit(1)
     for skip in result.skips:
         click.echo(f"skipped: {skip.reason}", err=True)
-    for sentence in result.sentences:
-        click.echo(_sentence_record(sentence) if fmt == "jsonl" else sentence.sentence)
+    _echo_lines(_sentence_record(s) if fmt == "jsonl" else s.sentence
+                for s in result.sentences)
     if result.skips and not result.sentences:
         sys.exit(2)
 
@@ -161,21 +210,9 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
     text = _read_text(None if input_path == "-" else input_path)
     lines = text.splitlines()
     detections, counts = scan_corpus(lexicon, registry, lines, min_score)
-    for d in detections:
-        if fmt == "jsonl":
-            click.echo(json.dumps({
-                "line": d.sentence_index,
-                "class": d.class_id,
-                "score": d.score,
-                "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence],
-                "binding": {
-                    "bases": {str(g): w for g, w in sorted(d.binding.bases.items())},
-                    "realized": list(d.binding.realized),
-                },
-            }))
-        else:
-            click.echo(f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t"
-                       f"{lines[d.sentence_index]}")
+    _echo_lines(_detection_record(d) if fmt == "jsonl" else
+                f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
+                for d in detections)
     if stats:
         for class_id in counts:
             click.echo(f"{class_id}\t{counts[class_id]}", err=True)
@@ -191,8 +228,8 @@ def classes(class_id: str | None) -> None:
         if not registry:
             click.echo(f"error: unknown class {class_id!r}", err=True)
             sys.exit(1)
-    for schema in registry:
-        click.echo(f"{schema.class_id}\t{schema.kind.value}\t{render_template(schema)}")
+    _echo_lines(f"{schema.class_id}\t{schema.kind.value}\t{render_template(schema)}"
+                for schema in registry)
 
 
 @main.group("lexicon")

@@ -21,20 +21,7 @@ from typing import Iterable, Sequence
 from .generator import Binding
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import agentive_bases, apply_derivations, gerund_bases, plural_bases
-from .schema import (ARTICLE_MARKER_RE, Relation, Schema, SlotSpec, SlotToken,
-                     class_sort_key)
-
-MAX_SLOT_SPAN = 3
-
-_WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*|[^a-z0-9\s]")
-
-
-def normalize(sentence: str) -> tuple[str, ...]:
-    """Lowercased tokens; punctuation splits off, but a hyphen or
-    apostrophe between letters stays inside its word ("non-diary",
-    "don't"). Typographic apostrophes are folded to plain ones."""
-    text = sentence.lower().replace("’", "'")
-    return tuple(_WORD_RE.findall(text))
+from .schema import CompiledSchema, Relation, Schema, SlotSpec, normalize
 
 
 class EvidenceKind(Enum):
@@ -60,60 +47,6 @@ class Detection:
     relations_satisfied: int
     sentence_index: int
     evidence: tuple[Evidence, ...]
-
-
-_ARTICLE_PATTERN = "(?:a|an)"
-_SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
-
-
-@dataclass(frozen=True)
-class _CompiledSchema:
-    """What detection needs of a schema, worked out once per schema.
-
-    `regex` is matched against the sentence's normalized tokens joined by
-    single spaces. Each element is one space-separated piece: an escaped
-    literal token, `(?:a|an)` for an article marker, or a lazy group of
-    one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
-    alignments in the order of rule 2, leftmost slot shortest first.
-    """
-    regex: re.Pattern[str]
-    specs: tuple[SlotSpec, ...]
-    base_ordinals: tuple[int, ...]            # per slot: its group's base slot
-    group_bases: tuple[tuple[int, int], ...]  # (group id, base ordinal)
-    rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
-
-
-def _compiled(schema: Schema) -> _CompiledSchema:
-    """The schema's compiled form, built on first use and kept on the
-    instance, so a lookup never hashes the schema's token tree."""
-    try:
-        return schema.__dict__["_compiled"]
-    except KeyError:
-        form = _compile_schema(schema)
-        object.__setattr__(schema, "_compiled", form)
-        return form
-
-
-def _compile_schema(schema: Schema) -> _CompiledSchema:
-    parts: list[str] = []
-    for token in schema.tokens:
-        if isinstance(token, SlotToken):
-            parts.append(_SLOT_PATTERN)
-            continue
-        pieces = ARTICLE_MARKER_RE.split(token.text)
-        for i, piece in enumerate(pieces):
-            if i:
-                parts.append(_ARTICLE_PATTERN)
-            parts.extend(re.escape(t) for t in normalize(piece))
-    specs = schema.slot_specs()
-    group_bases = {gid: schema.base_ordinal(gid) for gid in schema.groups()}
-    return _CompiledSchema(
-        regex=re.compile(" ".join(parts)),
-        specs=specs,
-        base_ordinals=tuple(group_bases[spec.group_id] for spec in specs),
-        group_bases=tuple(group_bases.items()),
-        rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
-    )
 
 
 def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
@@ -154,12 +87,12 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
     return None
 
 
-def _detection(lexicon: Lexicon, class_id: str, form: _CompiledSchema,
+def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                match: re.Match[str], sentence_index: int) -> Detection:
     captured = match.groups()
     spans = [tuple(c.split(" ")) for c in captured]
     joined = [c.replace(" ", "-") for c in captured]
-    bases = {gid: joined[ordinal] for gid, ordinal in form.group_bases}
+    bases = {group.group_id: joined[group.base_ordinal] for group in form.groups}
 
     checked = satisfied = 0
     evidence: list[Evidence] = []
@@ -180,7 +113,7 @@ def _detection(lexicon: Lexicon, class_id: str, form: _CompiledSchema,
 def match_schema(lexicon: Lexicon, schema: Schema, sentence: str,
                  sentence_index: int = 0) -> Detection | None:
     """Match one schema against one sentence; None when the skeleton is absent."""
-    form = _compiled(schema)
+    form = schema.compiled
     match = form.regex.fullmatch(" ".join(normalize(sentence)))
     if match is None:
         return None
@@ -201,7 +134,7 @@ def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
     text = " ".join(tokens)
     ranked: list[tuple[float, tuple[int, tuple[int, str]], Detection]] = []
     for schema in registry:
-        form = _compiled(schema)
+        form = schema.compiled
         match = form.regex.fullmatch(text)
         if match is None:
             continue

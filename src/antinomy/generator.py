@@ -1,10 +1,11 @@
 """Sentence generation: fill schema slots from a lexicon, deterministically.
 
-All randomness flows through one SplitMix64 stream per sentence. Pools
-are sorted before every draw and a draw happens exactly once per choice
-point, so equal (lexicon, schema, seed, overrides) always yields the
-identical sentence. Candidate filtering happens before sampling; a group
-with an empty pool raises NoCandidateError instead of rejection loops.
+All randomness flows through one SplitMix64 stream per sentence. Base
+word pools are filtered and sorted once per lexicon, and a draw happens
+exactly once per choice point, so equal (lexicon, schema, seed,
+overrides) always yields the identical sentence. Candidate filtering
+happens before sampling; a group with an empty pool raises
+NoCandidateError instead of rejection loops.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Mapping, Sequence
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
 from .rng import SplitMix64, sub_seed
-from .schema import ARTICLE_MARKER_RE, LiteralToken, Relation, Schema, SlotSpec
+from .schema import ARTICLE_MARKER_RE, Relation, Schema
 
 
 class GenerateError(Exception):
@@ -67,18 +68,11 @@ class BatchResult:
     skips: tuple[SkippedSchema, ...]
 
 
-def _needs_antonym(specs: Sequence[SlotSpec], group_id: int) -> bool:
-    return any(s.group_id == group_id and s.relation is Relation.ANTONYM for s in specs)
-
-
-def _candidates(lexicon: Lexicon, pos: PartOfSpeech, need_antonym: bool) -> list[str]:
-    words = lexicon.words(pos)
-    if not need_antonym:
-        return list(words)
-    if pos is PartOfSpeech.VERB:
-        # Verbs always qualify: "not to <verb>" stands in for a missing antonym.
-        return list(words)
-    return [w for w in words if lexicon.antonyms(w, pos)]
+def _candidates(lexicon: Lexicon, pos: PartOfSpeech, need_antonym: bool) -> tuple[str, ...]:
+    # Verbs always qualify: "not to <verb>" stands in for a missing antonym.
+    if need_antonym and pos is not PartOfSpeech.VERB:
+        return lexicon.words_with_antonyms(pos)
+    return lexicon.words(pos)
 
 
 def _fix_articles(text: str) -> str:
@@ -108,29 +102,29 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
     group, relaxing in that order until a pool is non-empty.
     """
     rng = SplitMix64(seed)
-    specs = schema.slot_specs()
-    overrides = dict(overrides or {})
+    form = schema.compiled
+    overrides = overrides or {}
 
     bases: dict[int, str] = {}
-    for gid, _ordinals in schema.groups().items():
-        pos = next(s.symbol for s in specs if s.group_id == gid)
-        need_ant = _needs_antonym(specs, gid)
+    for group in form.groups:
+        gid, pos = group.group_id, group.pos
         if gid in overrides:
             word = overrides[gid].lower()
             if lexicon.entry(word, pos) is None:
                 raise BadOverrideError(gid, word, f"not a known {pos.value} word")
-            if need_ant and word not in _candidates(lexicon, pos, True):
+            if (group.needs_antonym and pos is not PartOfSpeech.VERB
+                    and not lexicon.antonyms(word, pos)):
                 raise BadOverrideError(gid, word, "word has no antonym and is not a verb")
             bases[gid] = word
             continue
-        pool = _candidates(lexicon, pos, need_ant)
+        pool = _candidates(lexicon, pos, group.needs_antonym)
         if not pool:
             raise NoCandidateError(schema.class_id, gid)
         bases[gid] = rng.choice(pool)
 
     used_synonyms: dict[int, set[str]] = {gid: set() for gid in bases}
     realized: list[str] = []
-    for spec in specs:
+    for spec in form.specs:
         base = bases[spec.group_id]
         if spec.relation is Relation.IDENTITY:
             word = base
@@ -153,11 +147,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             used_synonyms[spec.group_id].add(word)
         realized.append(apply_derivations(word, spec.derivations))
 
-    parts = []
-    slot_iter = iter(realized)
-    for token in schema.tokens:
-        parts.append(token.text if isinstance(token, LiteralToken) else next(slot_iter))
-    sentence = _capitalize_first(_fix_articles("".join(parts)))
+    sentence = _capitalize_first(_fix_articles(form.text_format.format(*realized)))
     return GeneratedSentence(schema.class_id, sentence, seed,
                              Binding(bases, tuple(realized)))
 

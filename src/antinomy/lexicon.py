@@ -108,6 +108,11 @@ class Lexicon:
                  report: ValidationReport | None = None):
         self._entries = dict(entries)
         self.report = report if report is not None else ValidationReport()
+        # The per-POS pools generation draws from, sorted once.
+        self._words = {pos: tuple(sorted(s for (s, p) in self._entries if p is pos))
+                       for pos in PartOfSpeech}
+        self._antonym_words = {pos: tuple(w for w in words if self.antonyms(w, pos))
+                               for pos, words in self._words.items()}
 
     @classmethod
     def empty(cls) -> "Lexicon":
@@ -134,7 +139,11 @@ class Lexicon:
 
     def words(self, pos: PartOfSpeech) -> tuple[str, ...]:
         """All surfaces of one part of speech, sorted."""
-        return tuple(sorted(s for (s, p) in self._entries if p is pos))
+        return self._words[pos]
+
+    def words_with_antonyms(self, pos: PartOfSpeech) -> tuple[str, ...]:
+        """The surfaces of `words(pos)` that have at least one antonym, sorted."""
+        return self._antonym_words[pos]
 
     def synonyms(self, surface: str, pos: PartOfSpeech) -> frozenset[str]:
         """Synonym set of the word, always including the word itself."""

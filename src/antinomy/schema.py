@@ -16,6 +16,10 @@ primes, no flags); the first such slot carries the group's base word.
 
 The literal text "a(n)" is an article marker: generation resolves it
 against the following word, detection accepts exactly one "a" or "an".
+
+Each schema compiles once, on first use, to a CompiledSchema kept on the
+instance: the per-group facts generation draws by and the anchored regex
+detection matches with.
 """
 from __future__ import annotations
 
@@ -29,6 +33,9 @@ from .lexicon import PartOfSpeech
 from .morphology import Derivation
 
 ARTICLE_MARKER_RE = re.compile(r"[Aa]\(n\)")
+MAX_SLOT_SPAN = 3
+
+_WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*|[^a-z0-9\s]")
 
 UNKNOWN_SYMBOL = "unknown-symbol"
 UNBALANCED_BRACES = "unbalanced-braces"
@@ -113,6 +120,81 @@ class Schema:
             if spec.group_id == group_id and spec.is_base:
                 return i
         raise KeyError(group_id)
+
+    @functools.cached_property
+    def compiled(self) -> CompiledSchema:
+        """The schema's compiled form, built on first use and kept on the
+        instance, so a lookup never hashes the schema's token tree."""
+        return _compile_schema(self)
+
+
+def normalize(sentence: str) -> tuple[str, ...]:
+    """Lowercased tokens; punctuation splits off, but a hyphen or
+    apostrophe between letters stays inside its word ("non-diary",
+    "don't"). Typographic apostrophes are folded to plain ones."""
+    text = sentence.lower().replace("’", "'")
+    return tuple(_WORD_RE.findall(text))
+
+
+@dataclass(frozen=True)
+class GroupPlan:
+    """One slot group: generation draws its base word, detection binds it."""
+    group_id: int
+    pos: PartOfSpeech
+    base_ordinal: int         # the group's first bare slot
+    needs_antonym: bool       # some slot of the group is an antonym slot
+
+
+_ARTICLE_PATTERN = "(?:a|an)"
+_SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
+
+
+@dataclass(frozen=True)
+class CompiledSchema:
+    """What generation and detection need of a schema, worked out once.
+
+    `regex` is matched against a sentence's normalized tokens joined by
+    single spaces. Each element is one space-separated piece: an escaped
+    literal token, `(?:a|an)` for an article marker, or a lazy group of
+    one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
+    alignments leftmost slot first, shortest capture first.
+    """
+    specs: tuple[SlotSpec, ...]
+    groups: tuple[GroupPlan, ...]             # in order of first appearance
+    base_ordinals: tuple[int, ...]            # per slot: its group's base slot
+    text_format: str                          # literal text, "{}" per slot, for str.format
+    regex: re.Pattern[str]
+    rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
+
+
+def _compile_schema(schema: Schema) -> CompiledSchema:
+    parts: list[str] = []
+    for token in schema.tokens:
+        if isinstance(token, SlotToken):
+            parts.append(_SLOT_PATTERN)
+            continue
+        pieces = ARTICLE_MARKER_RE.split(token.text)
+        for i, piece in enumerate(pieces):
+            if i:
+                parts.append(_ARTICLE_PATTERN)
+            parts.extend(re.escape(t) for t in normalize(piece))
+    specs = schema.slot_specs()
+    groups = tuple(
+        GroupPlan(gid, specs[ordinals[0]].symbol, schema.base_ordinal(gid),
+                  any(specs[i].relation is Relation.ANTONYM for i in ordinals))
+        for gid, ordinals in schema.groups().items())
+    base_of = {g.group_id: g.base_ordinal for g in groups}
+    text_format = "".join(
+        "{}" if isinstance(t, SlotToken) else t.text.replace("{", "{{").replace("}", "}}")
+        for t in schema.tokens)
+    return CompiledSchema(
+        specs=specs,
+        groups=groups,
+        base_ordinals=tuple(base_of[spec.group_id] for spec in specs),
+        text_format=text_format,
+        regex=re.compile(" ".join(parts)),
+        rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
+    )
 
 
 _FLAGS = {d.value: d for d in Derivation}

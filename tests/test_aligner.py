@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from antinomy import (PartOfSpeech, Schema, SchemaKind, classify, match_schema,
                       normalize, parse_template)
-from antinomy.detector import MAX_SLOT_SPAN, _compiled
-from antinomy.schema import ARTICLE_MARKER_RE, SlotToken
+from antinomy.schema import ARTICLE_MARKER_RE, MAX_SLOT_SPAN, SlotToken
 from conftest import random_template
 
 
@@ -102,7 +101,7 @@ def reference_captures(elements, tokens) -> tuple[str, ...] | None:
 
 
 def compiled_captures(schema: Schema, tokens: tuple[str, ...]) -> tuple[str, ...] | None:
-    match = _compiled(schema).regex.fullmatch(" ".join(tokens))
+    match = schema.compiled.regex.fullmatch(" ".join(tokens))
     return None if match is None else match.groups()
 
 
@@ -161,7 +160,7 @@ def test_compiled_regex_matches_reference_aligner(rng, registry, lexicon_words):
         dsl = with_article(rng, random_template(rng))
         schema = Schema("u", SchemaKind.PARADOX, parse_template(dsl))
     elements, literal_count = reference_elements(schema)
-    assert _compiled(schema).rank_key[0] == -literal_count
+    assert schema.compiled.rank_key[0] == -literal_count
     literals = [t for el in elements if isinstance(el, Lit) for t in el.tokens]
     words = literals + ["a", "an", "the"] + rng.sample(lexicon_words, 12)
     for _ in range(8):

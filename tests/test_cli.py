@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import sub_seed
-from antinomy.cli import main
+from antinomy.cli import _echo_lines, main
 
 runner = CliRunner()
 
@@ -88,12 +88,45 @@ def test_generate_seed_changes_output():
     assert one.stdout != two.stdout
 
 
-@pytest.mark.parametrize("option", ["noequals", "0=", "=word", "x=word", "1.5=word"])
+@pytest.mark.parametrize("option", ["noequals", "0=", "=word", "x=word", "1.5=word", "²=word"])
 def test_generate_bad_slot_syntax(option, lex_file):
     res = runner.invoke(main, ["generate", "--lexicon", lex_file,
                                "--class", "1", "--slot", option])
     assert res.exit_code == 1
     assert "bad --slot" in res.stderr
+
+
+def test_generate_slot_for_a_group_no_class_has(lex_file):
+    res = runner.invoke(main, ["generate", "--lexicon", lex_file,
+                               "--class", "1", "--slot", "7=possible"])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ")
+    assert "group 7" in res.stderr
+    assert res.stdout == ""
+
+
+def test_generate_repeated_slot_group(lex_file):
+    res = runner.invoke(main, ["generate", "--lexicon", lex_file, "--class", "1",
+                               "--slot", "0=possible", "--slot", "0=impossible"])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ")
+    assert "more than once" in res.stderr
+    assert res.stdout == ""
+
+
+def test_generate_slot_applies_to_every_class_with_the_group(tmp_path):
+    # "possible" exists in every part of speech, so group 0 of every
+    # class accepts it.
+    path = tmp_path / "all_pos.lex"
+    path.write_text("".join(f"possible\t{p}\t\timpossible\nimpossible\t{p}\t\tpossible\n"
+                            for p in "NVA"))
+    res = runner.invoke(main, ["generate", "--lexicon", str(path), "--class", "all",
+                               "--slot", "0=possible"])
+    assert res.exit_code == 0, res.stderr
+    records = [json.loads(line) for line in res.stdout.splitlines()]
+    assert len(records) == 36
+    assert all(r["binding"]["bases"]["0"] == "possible"
+               for r in records if "0" in r["binding"]["bases"])
 
 
 def test_generate_unknown_class(lex_file):
@@ -233,6 +266,29 @@ def test_detect_stats_table_on_stderr():
     assert len(stats) == 36
     assert stats["1"] == "1"
     assert stats["10"] == "0"
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["generate", "--count", "0"], ""),
+    (["generate", "--count", "0", "--format", "text"], ""),
+    (["detect"], "Nothing here.\nNor here.\n"),
+    (["detect", "--format", "text"], "Nothing here.\n"),
+    (["detect"], ""),
+])
+def test_no_records_print_nothing(args, stdin):
+    res = runner.invoke(main, args, input=stdin)
+    assert res.exit_code == 0
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_echo_lines_batches_records(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(click, "echo", lambda message: calls.append(message + "\n"))
+    lines = [f"record {i}" for i in range(n)]
+    _echo_lines(iter(lines))
+    assert "".join(calls) == "".join(line + "\n" for line in lines)
+    assert len(calls) == -(-n // 64)
 
 
 def test_lexicon_validate_ok(lex_file):

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from antinomy import (BadOverrideError, Lexicon, NoCandidateError, SchemaKind,
-                      Schema, SplitMix64, generate, generate_batch, parse_lexicon,
-                      parse_template, sub_seed)
+from antinomy import (BadOverrideError, Lexicon, LiteralToken, NoCandidateError,
+                      SchemaKind, Schema, SlotToken, SplitMix64, generate,
+                      generate_batch, parse_lexicon, parse_template, sub_seed)
 
 # Published reference outputs for seed 0.
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -247,3 +247,12 @@ def test_full_registry_runs_on_bundled_lexicon(demo_lexicon, registry):
     for sentence in batch.sentences:
         assert sentence.sentence[0].isupper() or not sentence.sentence[0].isalpha()
         assert "a(n)" not in sentence.sentence.lower()
+
+
+def test_braces_in_literal_text_render_verbatim():
+    # Hand-built tokens may carry braces that the template parser rejects.
+    slot = parse_template("{A}")[0]
+    assert isinstance(slot, SlotToken)
+    schema = Schema("u", SchemaKind.PARADOX, (LiteralToken("{x} is "), slot, LiteralToken(" }")))
+    out = generate(OPPOSITES, schema, overrides={0: "possible"})
+    assert out.sentence == "{X} is possible }"

@@ -1,0 +1,150 @@
+"""Differential test: `generate` over compiled schemas and stored lexicon
+pools against the per-sentence version it replaced, which is kept here
+as the reference."""
+from __future__ import annotations
+
+import random
+from typing import Mapping, Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antinomy import (BadOverrideError, Binding, GeneratedSentence, Lexicon,
+                      NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
+                      SlotSpec, SplitMix64, apply_derivations, generate,
+                      negated_infinitive, parse_lexicon, parse_template)
+from antinomy.generator import _capitalize_first, _fix_articles
+from antinomy.schema import LiteralToken
+from conftest import random_lexicon_source, random_template
+
+
+def reference_needs_antonym(specs: Sequence[SlotSpec], group_id: int) -> bool:
+    return any(s.group_id == group_id and s.relation is Relation.ANTONYM for s in specs)
+
+
+def reference_candidates(lexicon: Lexicon, pos: PartOfSpeech, need_antonym: bool) -> list[str]:
+    words = lexicon.words(pos)
+    if not need_antonym:
+        return list(words)
+    if pos is PartOfSpeech.VERB:
+        return list(words)
+    return [w for w in words if lexicon.antonyms(w, pos)]
+
+
+def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
+                       overrides: Mapping[int, str] | None = None) -> GeneratedSentence:
+    rng = SplitMix64(seed)
+    specs = schema.slot_specs()
+    overrides = dict(overrides or {})
+
+    bases: dict[int, str] = {}
+    for gid, _ordinals in schema.groups().items():
+        pos = next(s.symbol for s in specs if s.group_id == gid)
+        need_ant = reference_needs_antonym(specs, gid)
+        if gid in overrides:
+            word = overrides[gid].lower()
+            if lexicon.entry(word, pos) is None:
+                raise BadOverrideError(gid, word, f"not a known {pos.value} word")
+            if need_ant and word not in reference_candidates(lexicon, pos, True):
+                raise BadOverrideError(gid, word, "word has no antonym and is not a verb")
+            bases[gid] = word
+            continue
+        pool = reference_candidates(lexicon, pos, need_ant)
+        if not pool:
+            raise NoCandidateError(schema.class_id, gid)
+        bases[gid] = rng.choice(pool)
+
+    used_synonyms: dict[int, set[str]] = {gid: set() for gid in bases}
+    realized: list[str] = []
+    for spec in specs:
+        base = bases[spec.group_id]
+        if spec.relation is Relation.IDENTITY:
+            word = base
+        elif spec.relation is Relation.ANTONYM:
+            antonyms = sorted(lexicon.antonyms(base, spec.symbol))
+            if antonyms:
+                word = rng.choice(antonyms)
+            else:
+                word = negated_infinitive(base)
+        else:
+            synonyms = lexicon.synonyms(base, spec.symbol)
+            used = used_synonyms[spec.group_id]
+            for pool_set in (synonyms - used - {base}, synonyms - used, synonyms - {base}):
+                if pool_set:
+                    word = rng.choice(sorted(pool_set))
+                    break
+            else:
+                word = base
+            used_synonyms[spec.group_id].add(word)
+        realized.append(apply_derivations(word, spec.derivations))
+
+    parts = []
+    slot_iter = iter(realized)
+    for token in schema.tokens:
+        parts.append(token.text if isinstance(token, LiteralToken) else next(slot_iter))
+    sentence = _capitalize_first(_fix_articles("".join(parts)))
+    return GeneratedSentence(schema.class_id, sentence, seed,
+                             Binding(bases, tuple(realized)))
+
+
+def random_lexicon(rng: random.Random) -> Lexicon:
+    """A parsed random lexicon; at times one part of speech loses every
+    antonym, so antonym groups of that POS have no candidate at all."""
+    lines = random_lexicon_source(rng).splitlines()
+    if rng.random() < 0.4:
+        bare = rng.choice("NVA")
+        lines = ["\t".join(f[:3] + [""]) if len(f) == 4 and f[1] == bare else line
+                 for line, f in ((line, line.split("\t")) for line in lines)]
+    lexicon = parse_lexicon("\n".join(lines) + "\n")
+    assert isinstance(lexicon, Lexicon)
+    return lexicon
+
+
+def random_overrides(rng: random.Random, lexicon: Lexicon, schema: Schema) -> dict[int, str]:
+    """Valid and invalid overrides: groups of the schema and foreign
+    ones, words of any POS (so often the wrong one), words without
+    antonyms, unknown words and upper-case spellings."""
+    words = [w for pos in PartOfSpeech for w in lexicon.words(pos)] + ["gleeb"]
+    group_pos = {s.group_id: s.symbol for s in schema.slot_specs()}
+    overrides = {}
+    for _ in range(rng.randint(0, 2)):
+        group = rng.choice(list(group_pos) + [7])
+        same_pos = lexicon.words(group_pos.get(group, PartOfSpeech.NOUN))
+        word = rng.choice(same_pos if same_pos and rng.random() < 0.6 else words)
+        overrides[group] = word.upper() if rng.random() < 0.2 else word
+    return overrides
+
+
+def outcome(fn, *args) -> tuple:
+    try:
+        return ("ok", fn(*args))
+    except (BadOverrideError, NoCandidateError) as err:
+        return (type(err), str(err))
+
+
+@settings(deadline=None, max_examples=500)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_generate_matches_reference(seed, demo_lexicon, registry):
+    rng = random.Random(seed)
+    if rng.random() < 0.2:
+        lexicon, schema = demo_lexicon, rng.choice(registry)
+    else:
+        lexicon = random_lexicon(rng)
+        schema = Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng)))
+    for _ in range(6):
+        item_seed = rng.getrandbits(64)
+        overrides = random_overrides(rng, lexicon, schema) if rng.random() < 0.5 else None
+        assert (outcome(generate, lexicon, schema, item_seed, overrides)
+                == outcome(reference_generate, lexicon, schema, item_seed, overrides))
+
+
+def test_generate_compiles_each_schema_once(demo_lexicon, monkeypatch):
+    calls = []
+    original = Schema.slot_specs
+    monkeypatch.setattr(Schema, "slot_specs", lambda self: calls.append(1) or original(self))
+    schema = Schema("u", SchemaKind.PARADOX, parse_template("All is {A}, the {~A} too."))
+    generate(demo_lexicon, schema, 0)
+    compiled_with = len(calls)
+    for seed in range(1, 6):
+        generate(demo_lexicon, schema, seed)
+    assert len(calls) == compiled_with

@@ -3,6 +3,9 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from antinomy import (DanglingReference, DuplicateEntry, Lexicon, MalformedLine,
                       PartOfSpeech, SelfReferenceDropped, SymmetryRepair,
                       ValidationReport, parse_lexicon, serialize_lexicon)
@@ -131,6 +134,33 @@ def test_words_listing_sorted():
     lex = parse_lexicon("zeta\tN\t\t\nalpha\tN\t\t\nmid\tV\t\t\n")
     assert lex.words(N) == ("alpha", "zeta")
     assert lex.words(V) == ("mid",)
+
+
+def test_words_of_a_pos_without_entries_is_empty():
+    lex = parse_lexicon("zeta\tN\t\t\n")
+    assert lex.words(V) == ()
+    assert lex.words(A) == ()
+    assert lex.words_with_antonyms(V) == ()
+    assert Lexicon.empty().words(N) == ()
+
+
+def test_words_with_antonyms_keeps_only_antonym_bearing_words():
+    lex = parse_lexicon(SIZE_SOURCE)
+    assert lex.words(A) == ("big", "large", "little", "small")
+    assert lex.words_with_antonyms(A) == ("big", "large", "small")
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_stored_word_tuples_match_the_entries(seed):
+    rng = random.Random(seed)
+    lex = parse_lexicon(random_lexicon_source(rng))
+    assert isinstance(lex, Lexicon)
+    for pos in PartOfSpeech:
+        surfaces = [e.surface for e in lex.entries() if e.pos is pos]
+        assert lex.words(pos) == tuple(sorted(surfaces))
+        assert lex.words_with_antonyms(pos) == tuple(
+            w for w in sorted(surfaces) if lex.antonyms(w, pos))
 
 
 def test_serialize_round_trip():
