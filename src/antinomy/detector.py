@@ -52,37 +52,33 @@ class Detection:
 def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
                     base_span: tuple[str, ...], realized: str,
                     span: tuple[str, ...]) -> EvidenceKind | None:
-    """Evidence kind if the slot's relation to its base holds, else None."""
+    """Evidence kind if the slot's relation to its base holds, else None.
+    Derived forms are compared as captures are reported, tokens joined
+    by hyphens ("not-to-talk")."""
     if lexicon.entry(base, spec.symbol) is None:
         return None
+    words = ({base} if spec.relation is Relation.IDENTITY
+             else lexicon.antonyms(base, spec.symbol) if spec.relation is Relation.ANTONYM
+             else lexicon.synonyms(base, spec.symbol))
+    if spec.derivations:
+        if any(apply_derivations(w, spec.derivations).replace(" ", "-") == realized
+               for w in words):
+            return EvidenceKind.SUFFIX_INVERSE
+        return None
     if spec.relation is Relation.IDENTITY:
-        if spec.derivations:
-            if realized == apply_derivations(base, spec.derivations):
-                return EvidenceKind.SUFFIX_INVERSE
-            return None
         return EvidenceKind.IDENTITY_REPEAT if realized == base else None
     if spec.relation is Relation.ANTONYM:
-        antonyms = lexicon.antonyms(base, spec.symbol)
-        if spec.derivations:
-            if any(apply_derivations(a, spec.derivations) == realized for a in antonyms):
-                return EvidenceKind.SUFFIX_INVERSE
-            return None
-        if realized in antonyms:
+        if realized in words:
             return EvidenceKind.LEX_ANTONYM
         if spec.symbol is PartOfSpeech.VERB and span == ("not", "to") + base_span:
             return EvidenceKind.NEG_INF
         return None
-    synonyms = lexicon.synonyms(base, spec.symbol)
-    if spec.derivations:
-        if any(apply_derivations(s, spec.derivations) == realized for s in synonyms):
-            return EvidenceKind.SUFFIX_INVERSE
-        return None
-    if realized in synonyms:
+    if realized in words:
         return EvidenceKind.LEX_SYNONYM
     stripped: set[str] = set()
     for invert in (plural_bases, agentive_bases, gerund_bases):
         stripped.update(invert(realized))
-    if stripped & synonyms:
+    if stripped & words:
         return EvidenceKind.SUFFIX_INVERSE
     return None
 

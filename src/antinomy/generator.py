@@ -68,13 +68,6 @@ class BatchResult:
     skips: tuple[SkippedSchema, ...]
 
 
-def _candidates(lexicon: Lexicon, pos: PartOfSpeech, need_antonym: bool) -> tuple[str, ...]:
-    # Verbs always qualify: "not to <verb>" stands in for a missing antonym.
-    if need_antonym and pos is not PartOfSpeech.VERB:
-        return lexicon.words_with_antonyms(pos)
-    return lexicon.words(pos)
-
-
 def _fix_articles(text: str) -> str:
     def repl(m) -> str:
         tail = text[m.end():].lstrip()
@@ -96,10 +89,11 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
     Base words are drawn per group from the sorted candidate pool, or
     taken from `overrides` (group id -> word) after validation. Antonym
-    slots draw from the word's antonyms, falling back to "not to <verb>"
-    for antonym-less verbs. Synonym-prime slots prefer a synonym that is
-    neither the base nor already used by an earlier prime slot of the
-    group, relaxing in that order until a pool is non-empty.
+    slots draw from the word's antonyms; a bare verb antonym slot falls
+    back to "not to <verb>" for an antonym-less verb. Synonym-prime slots
+    prefer a synonym that is neither the base nor already used by an
+    earlier prime slot of the group, relaxing in that order until a pool
+    is non-empty.
     """
     rng = SplitMix64(seed)
     form = schema.compiled
@@ -112,12 +106,13 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             word = overrides[gid].lower()
             if lexicon.entry(word, pos) is None:
                 raise BadOverrideError(gid, word, f"not a known {pos.value} word")
-            if (group.needs_antonym and pos is not PartOfSpeech.VERB
-                    and not lexicon.antonyms(word, pos)):
-                raise BadOverrideError(gid, word, "word has no antonym and is not a verb")
+            if group.needs_antonym and not lexicon.antonyms(word, pos):
+                reason = ("word has no antonym and is not a verb" if pos is not PartOfSpeech.VERB
+                          else "verb has no antonym for its derived antonym slot")
+                raise BadOverrideError(gid, word, reason)
             bases[gid] = word
             continue
-        pool = _candidates(lexicon, pos, group.needs_antonym)
+        pool = lexicon.words_with_antonyms(pos) if group.needs_antonym else lexicon.words(pos)
         if not pool:
             raise NoCandidateError(schema.class_id, gid)
         bases[gid] = rng.choice(pool)
@@ -133,7 +128,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             if antonyms:
                 word = rng.choice(antonyms)
             else:
-                # Candidate filtering guarantees this branch only for verbs.
+                # Candidate filtering leaves this branch to bare verb slots.
                 word = negated_infinitive(base)
         else:
             synonyms = lexicon.synonyms(base, spec.symbol)

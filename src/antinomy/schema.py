@@ -7,7 +7,8 @@ A template mixes literal text with slots. Slot grammar:
     ~     : fill with an antonym of the group's base word
     '     : synonym prime; {X'} and {X''} are distinct synonym picks
     flags : agent, ger, pl, neginf -- surface derivations, applied in order
-    #d    : explicit group id; slots sharing a group share one base word
+    #d    : explicit group id, one ASCII digit; slots sharing a group
+            share one base word
 
 Slots without #d group implicitly: all unmarked slots of one symbol share
 a group, numbered from the smallest id not claimed explicitly, in order
@@ -24,6 +25,7 @@ detection matches with.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from importlib import resources
 from dataclasses import dataclass, field
@@ -142,7 +144,7 @@ class GroupPlan:
     group_id: int
     pos: PartOfSpeech
     base_ordinal: int         # the group's first bare slot
-    needs_antonym: bool       # some slot of the group is an antonym slot
+    needs_antonym: bool       # the base must have a lexical antonym
 
 
 _ARTICLE_PATTERN = "(?:a|an)"
@@ -179,9 +181,12 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
                 parts.append(_ARTICLE_PATTERN)
             parts.extend(re.escape(t) for t in normalize(piece))
     specs = schema.slot_specs()
+    # A bare verb antonym slot falls back to "not to <verb>"; others need an antonym.
     groups = tuple(
         GroupPlan(gid, specs[ordinals[0]].symbol, schema.base_ordinal(gid),
-                  any(specs[i].relation is Relation.ANTONYM for i in ordinals))
+                  any(specs[i].relation is Relation.ANTONYM
+                      and (specs[i].symbol is not PartOfSpeech.VERB or specs[i].derivations)
+                      for i in ordinals))
         for gid, ordinals in schema.groups().items())
     base_of = {g.group_id: g.base_ordinal for g in groups}
     text_format = "".join(
@@ -198,6 +203,7 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
 
 
 _FLAGS = {d.value: d for d in Derivation}
+_GROUP_IDS = {str(d): d for d in range(10)}
 
 # flag -> (category it applies to, category it yields); "P" is terminal.
 _TRANSITIONS = {
@@ -207,51 +213,30 @@ _TRANSITIONS = {
     Derivation.NEGATED_INFINITIVE: ("V", "P"),
 }
 
+# A template is a run of slots, literal text and stray braces.
+_PIECE_RE = re.compile(r"\{([^{}]*)\}|[{}]|[^{}]+")
+# The slot grammar above. Flags and the group id are matched loosely and
+# checked afterwards, so a bad flag is reported before a bad group id.
+_SLOT_RE = re.compile(r"(~?)([NVA])('*)(?::([^#]*))?(?:#(.*))?", re.DOTALL)
 
-@dataclass
-class _RawSlot:
-    tilde: bool
-    symbol: PartOfSpeech
-    prime: int
-    derivations: tuple[Derivation, ...]
-    explicit_group: int | None
+# A parsed slot: SlotSpec's fields up to the group id, then the explicit #d.
+_SlotFields = tuple[PartOfSpeech, Relation, int, tuple[Derivation, ...], int | None]
 
 
-def _parse_slot_body(body: str, at: int) -> _RawSlot:
-    rest = body
-    tilde = rest.startswith("~")
-    if tilde:
-        rest = rest[1:]
-    if not rest or rest[0] not in "NVA":
-        got = rest[:1] or "nothing"
-        raise TemplateError(UNKNOWN_SYMBOL, f"unknown slot symbol {got!r} at offset {at}")
-    symbol = PartOfSpeech(rest[0])
-    rest = rest[1:]
-    prime = 0
-    while rest.startswith("'"):
-        prime += 1
-        rest = rest[1:]
-    derivations: tuple[Derivation, ...] = ()
-    if rest.startswith(":"):
-        flag_text, had_hash, tail = rest[1:].partition("#")
-        steps = []
-        for name in flag_text.split("+"):
-            if name not in _FLAGS:
-                raise TemplateError(BAD_DERIVATION_FLAG, f"bad derivation flag {name!r} at offset {at}")
-            steps.append(_FLAGS[name])
-        derivations = tuple(steps)
-        rest = ("#" + tail) if had_hash else ""
-    explicit_group: int | None = None
-    if rest.startswith("#"):
-        digits = rest[1:]
-        if len(digits) != 1 or not digits.isdigit():
-            raise TemplateError(UNKNOWN_SYMBOL, f"bad group id {digits!r} at offset {at}")
-        explicit_group = int(digits)
-        rest = ""
-    if rest:
-        raise TemplateError(UNKNOWN_SYMBOL, f"unexpected {rest!r} in slot at offset {at}")
-
-    category = symbol.value
+def _read_slot(body: str, at: int) -> _SlotFields:
+    """Read one slot body, the text between its braces."""
+    m = _SLOT_RE.fullmatch(body)
+    if m is None:
+        raise TemplateError(UNKNOWN_SYMBOL, f"bad slot {{{body}}} at offset {at}")
+    tilde, symbol, primes, flags, group = m.groups()
+    names = [] if flags is None else flags.split("+")
+    for name in names:
+        if name not in _FLAGS:
+            raise TemplateError(BAD_DERIVATION_FLAG, f"bad derivation flag {name!r} at offset {at}")
+    if group is not None and group not in _GROUP_IDS:
+        raise TemplateError(UNKNOWN_SYMBOL, f"bad group id {group!r} at offset {at}")
+    derivations = tuple(_FLAGS[name] for name in names)
+    category = symbol
     for step in derivations:
         needs, yields = _TRANSITIONS[step]
         if category != needs:
@@ -259,7 +244,24 @@ def _parse_slot_body(body: str, at: int) -> _RawSlot:
                 BAD_DERIVATION_FLAG,
                 f"flag {step.value!r} does not apply to {category} at offset {at}")
         category = yields
-    return _RawSlot(tilde, symbol, prime, derivations, explicit_group)
+    relation = (Relation.ANTONYM if tilde
+                else Relation.SYNONYM if primes else Relation.IDENTITY)
+    return (PartOfSpeech(symbol), relation, len(primes), derivations,
+            None if group is None else _GROUP_IDS[group])
+
+
+def _group_ids(slots: list[tuple[PartOfSpeech, int | None]]) -> list[int]:
+    """Group id per (symbol, explicit #d or None): the explicit id, or else
+    the smallest unclaimed id per symbol, in order of first appearance."""
+    claimed = {gid for _, gid in slots if gid is not None}
+    implicit: dict[PartOfSpeech, int] = {}
+    out = []
+    for symbol, gid in slots:
+        if gid is None and symbol not in implicit:
+            implicit[symbol] = next(g for g in itertools.count() if g not in claimed)
+            claimed.add(implicit[symbol])
+        out.append(implicit[symbol] if gid is None else gid)
+    return out
 
 
 def parse_template(dsl: str) -> tuple[Token, ...]:
@@ -268,89 +270,34 @@ def parse_template(dsl: str) -> tuple[Token, ...]:
     Rejected templates raise TemplateError: stray or unclosed braces,
     unknown slot symbols, bad derivation flags, two slots with no
     literal text between them, groups mixing symbols, and groups
-    without a bare base slot.
+    without a bare base slot. The first error from the left wins, then
+    group conflicts, then missing bases.
     """
-    raw: list[LiteralToken | _RawSlot] = []
-    i = 0
-    literal_start = 0
-    while i < len(dsl):
-        c = dsl[i]
-        if c == "}":
-            raise TemplateError(UNBALANCED_BRACES, f"stray '}}' at offset {i}")
-        if c != "{":
-            i += 1
+    parts: list[LiteralToken | _SlotFields] = []
+    for m in _PIECE_RE.finditer(dsl):
+        body, text = m.group(1), m.group()
+        if text in ("{", "}"):
+            raise TemplateError(UNBALANCED_BRACES, f"unbalanced {text!r} at offset {m.start()}")
+        if body is None:
+            parts.append(LiteralToken(text))
             continue
-        close = dsl.find("}", i + 1)
-        reopen = dsl.find("{", i + 1)
-        if close == -1 or (reopen != -1 and reopen < close):
-            raise TemplateError(UNBALANCED_BRACES, f"unclosed '{{' at offset {i}")
-        literal = dsl[literal_start:i]
-        if literal:
-            raw.append(LiteralToken(literal))
-        elif raw and isinstance(raw[-1], _RawSlot):
-            raise TemplateError(ADJACENT_SLOTS, f"adjacent slots at offset {i}")
-        raw.append(_parse_slot_body(dsl[i + 1:close], i))
-        i = close + 1
-        literal_start = i
-    if literal_start < len(dsl):
-        raw.append(LiteralToken(dsl[literal_start:]))
+        if parts and not isinstance(parts[-1], LiteralToken):
+            raise TemplateError(ADJACENT_SLOTS, f"adjacent slots at offset {m.start()}")
+        parts.append(_read_slot(body, m.start()))
 
-    slots = [r for r in raw if isinstance(r, _RawSlot)]
-    used = {r.explicit_group for r in slots if r.explicit_group is not None}
-    implicit: dict[PartOfSpeech, int] = {}
-    assigned: list[int] = []
-    for r in slots:
-        if r.explicit_group is not None:
-            assigned.append(r.explicit_group)
-            continue
-        if r.symbol not in implicit:
-            g = 0
-            while g in used:
-                g += 1
-            implicit[r.symbol] = g
-            used.add(g)
-        assigned.append(implicit[r.symbol])
-
+    slots = [p for p in parts if not isinstance(p, LiteralToken)]
+    gids = iter(_group_ids([(symbol, explicit) for symbol, *_, explicit in slots]))
+    tokens = tuple(p if isinstance(p, LiteralToken) else SlotToken(SlotSpec(*p[:-1], next(gids)))
+                   for p in parts)
+    specs = [t.spec for t in tokens if isinstance(t, SlotToken)]
     group_symbol: dict[int, PartOfSpeech] = {}
-    for r, gid in zip(slots, assigned):
-        if gid in group_symbol and group_symbol[gid] is not r.symbol:
-            raise TemplateError(GROUP_CONFLICT, f"group {gid} mixes slot symbols")
-        group_symbol.setdefault(gid, r.symbol)
-
-    tokens: list[Token] = []
-    it = iter(zip(slots, assigned))
-    for r in raw:
-        if isinstance(r, LiteralToken):
-            tokens.append(r)
-            continue
-        slot, gid = next(it)
-        relation = (Relation.ANTONYM if slot.tilde
-                    else Relation.SYNONYM if slot.prime else Relation.IDENTITY)
-        tokens.append(SlotToken(SlotSpec(slot.symbol, relation, slot.prime,
-                                         slot.derivations, gid)))
-
-    has_base = {gid: False for gid in group_symbol}
-    for t in tokens:
-        if isinstance(t, SlotToken) and t.spec.is_base:
-            has_base[t.spec.group_id] = True
-    for gid, ok in has_base.items():
-        if not ok:
+    for spec in specs:
+        if group_symbol.setdefault(spec.group_id, spec.symbol) is not spec.symbol:
+            raise TemplateError(GROUP_CONFLICT, f"group {spec.group_id} mixes slot symbols")
+    for gid in group_symbol:
+        if not any(spec.is_base for spec in specs if spec.group_id == gid):
             raise TemplateError(MISSING_BASE, f"group {gid} has no bare base slot")
-    return tuple(tokens)
-
-
-def _implicit_ids(tokens: tuple[Token, ...]) -> list[int]:
-    # Group ids the slots would get if no slot carried an explicit #d.
-    implicit: dict[PartOfSpeech, int] = {}
-    out = []
-    for t in tokens:
-        if not isinstance(t, SlotToken):
-            continue
-        sym = t.spec.symbol
-        if sym not in implicit:
-            implicit[sym] = len(implicit)
-        out.append(implicit[sym])
-    return out
+    return tokens
 
 
 def render_tokens(tokens: tuple[Token, ...]) -> str:
@@ -360,8 +307,9 @@ def render_tokens(tokens: tuple[Token, ...]) -> str:
     ids differ from what implicit assignment would produce, otherwise on
     none; parse_template(render_tokens(t)) == t either way.
     """
-    stored = [t.spec.group_id for t in tokens if isinstance(t, SlotToken)]
-    explicit = stored != _implicit_ids(tokens)
+    specs = [t.spec for t in tokens if isinstance(t, SlotToken)]
+    stored = [spec.group_id for spec in specs]
+    explicit = stored != _group_ids([(spec.symbol, None) for spec in specs])
     if explicit and any(g > 9 for g in stored):
         raise ValueError("group ids above 9 cannot be rendered")
     parts = []

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Evidence, EvidenceKind, Lexicon, Schema, SchemaKind,
-                      classify, match_schema, normalize, parse_lexicon,
+from antinomy import (Evidence, EvidenceKind, GenerateError, Lexicon, Schema, SchemaKind,
+                      classify, generate, match_schema, normalize, parse_lexicon,
                       parse_template, scan_corpus)
+from conftest import random_lexicon_source, random_template
 
 
 def make_schema(class_id: str, dsl: str) -> Schema:
@@ -148,6 +151,27 @@ def test_gerund_identity_evidence():
     assert det.evidence == (Evidence(1, EvidenceKind.SUFFIX_INVERSE),)
 
 
+def test_negated_infinitive_slot_evidence():
+    # "not to talk" is captured as "not-to-talk" and compared in that shape.
+    verbs = lex("talk\tV\t\t\n")
+    schema = make_schema("u", "To {V} or {V:neginf}.")
+    assert generate(verbs, schema).sentence == "To talk or not to talk."
+    det = match_schema(verbs, schema, "To talk or not to talk.")
+    assert det is not None
+    assert det.score == 1.0
+    assert det.evidence == (Evidence(1, EvidenceKind.SUFFIX_INVERSE),)
+
+
+def test_derived_antonym_slot_evidence():
+    verbs = lex("win\tV\t\tlose\nlose\tV\t\twin\n")
+    schema = make_schema("u", "To {V} is {~V:ger}, {~V:neginf}.")
+    det = match_schema(verbs, schema, "To win is losing, not to lose.")
+    assert det is not None
+    assert det.score == 1.0
+    assert det.evidence == (Evidence(1, EvidenceKind.SUFFIX_INVERSE),
+                            Evidence(2, EvidenceKind.SUFFIX_INVERSE))
+
+
 def test_synonym_evidence_through_article_slots():
     nouns = lex("teacher\tN\tprofessor\t\nprofessor\tN\tteacher\t\n")
     schema = make_schema("21", "This is not a(n) {N}, this is a(n) {N'}.")
@@ -263,3 +287,17 @@ def test_classify_handles_arbitrary_text(demo_lexicon, registry, text):
         assert 0.0 <= det.score <= 1.0
         assert det.relations_satisfied <= det.relations_checked
         assert len(det.evidence) == det.relations_satisfied
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_random_user_templates_round_trip(seed):
+    rng = random.Random(seed)
+    lexicon = lex(random_lexicon_source(rng))
+    schema = make_schema("u", random_template(rng))
+    try:
+        out = generate(lexicon, schema, rng.getrandbits(64))
+    except GenerateError:
+        return
+    ranked = classify(lexicon, [schema], out.sentence)
+    assert ranked and ranked[0].score == 1.0, out.sentence

@@ -113,6 +113,22 @@ def test_lexical_antonym_wins_over_negation():
         assert "not to" not in out.sentence
 
 
+MIXED_VERBS = lex("speak\tV\t\t\nwin\tV\t\tlose\nlose\tV\t\twin\n")
+
+
+@pytest.mark.parametrize("dsl,sentence", [("I {V} by {~V:ger}.", "I win by losing."),
+                                          ("I {V}, {~V:neginf}.", "I win, not to lose.")])
+def test_derived_verb_antonym_slot_needs_a_lexical_antonym(dsl, sentence):
+    # "speak" has no antonym to derive from: no "not to speaking" and no
+    # "not to not to speak".
+    schema = make_schema("u", dsl)
+    bases = {generate(MIXED_VERBS, schema, seed=s).binding.bases[0] for s in range(20)}
+    assert bases == {"win", "lose"}
+    assert generate(MIXED_VERBS, schema, overrides={0: "win"}).sentence == sentence
+    with pytest.raises(BadOverrideError, match="verb has no antonym"):
+        generate(MIXED_VERBS, schema, overrides={0: "speak"})
+
+
 def test_synonym_primes_prefer_distinct_words():
     nouns = lex(
         "alpha\tN\tbeta,gamma\t\n"

@@ -82,6 +82,9 @@ def test_single_space_is_a_valid_separator():
     ("{} is odd.", schema_mod.UNKNOWN_SYMBOL),
     ("{N$} junk.", schema_mod.UNKNOWN_SYMBOL),
     ("{N#12} wide.", schema_mod.UNKNOWN_SYMBOL),
+    ("{N#²} superscript.", schema_mod.UNKNOWN_SYMBOL),
+    ("{N#٣} arabic-indic.", schema_mod.UNKNOWN_SYMBOL),
+    ("{N:ger#12} wide.", schema_mod.UNKNOWN_SYMBOL),
     ("{N is open.", schema_mod.UNBALANCED_BRACES),
     ("closed} is.", schema_mod.UNBALANCED_BRACES),
     ("{N {V} nested.", schema_mod.UNBALANCED_BRACES),
@@ -90,6 +93,8 @@ def test_single_space_is_a_valid_separator():
     ("{N:ger} wrong pos.", schema_mod.BAD_DERIVATION_FLAG),
     ("{N:agent} wrong pos.", schema_mod.BAD_DERIVATION_FLAG),
     ("{V:neginf+pl} past the end.", schema_mod.BAD_DERIVATION_FLAG),
+    ("{A:#} no flag.", schema_mod.BAD_DERIVATION_FLAG),
+    ("{N:zap#12} both bad.", schema_mod.BAD_DERIVATION_FLAG),
     ("{N#1} and {V#1}.", schema_mod.GROUP_CONFLICT),
     ("{~A} alone.", schema_mod.MISSING_BASE),
     ("{N'} of it.", schema_mod.MISSING_BASE),
