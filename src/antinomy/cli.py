@@ -15,8 +15,8 @@ from typing import Iterable, Iterator
 
 import click
 
-from .detector import Detection, scan_corpus
-from .generator import BadOverrideError, GeneratedSentence, generate_batch
+from .detector import scan_corpus
+from .generator import BadOverrideError, Binding, generate_batch
 from .lexicon import Lexicon, ValidationReport, parse_lexicon
 from .schema import Schema, builtin_registry, render_template
 
@@ -128,29 +128,13 @@ def _parse_overrides(slot_options: tuple[str, ...], schemas: list[Schema]) -> di
     return overrides
 
 
-def _sentence_record(s: GeneratedSentence) -> str:
-    return json.dumps({
-        "class": s.class_id,
-        "sentence": s.sentence,
-        "seed": s.seed,
-        "binding": {
-            "bases": {str(g): w for g, w in sorted(s.binding.bases.items())},
-            "realized": list(s.binding.realized),
-        },
-    })
-
-
-def _detection_record(d: Detection) -> str:
-    return json.dumps({
-        "line": d.sentence_index,
-        "class": d.class_id,
-        "score": d.score,
-        "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence],
-        "binding": {
-            "bases": {str(g): w for g, w in sorted(d.binding.bases.items())},
-            "realized": list(d.binding.realized),
-        },
-    })
+def _record(fields: dict[str, object], binding: Binding) -> str:
+    """One JSON line: `fields`, to which the binding is added last."""
+    fields["binding"] = {
+        "bases": {str(g): w for g, w in sorted(binding.bases.items())},
+        "realized": list(binding.realized),
+    }
+    return json.dumps(fields)
 
 
 @click.group(cls=_Main)
@@ -184,7 +168,8 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
         sys.exit(1)
     for skip in result.skips:
         click.echo(f"skipped: {skip.reason}", err=True)
-    _echo_lines(_sentence_record(s) if fmt == "jsonl" else s.sentence
+    _echo_lines(s.sentence if fmt == "text" else
+                _record({"class": s.class_id, "sentence": s.sentence, "seed": s.seed}, s.binding)
                 for s in result.sentences)
     if result.skips and not result.sentences:
         sys.exit(2)
@@ -208,10 +193,13 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
     lexicon = _load_lexicon(lexicon_path)
     registry = builtin_registry()
     text = _read_text(None if input_path == "-" else input_path)
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     detections, counts = scan_corpus(lexicon, registry, lines, min_score)
-    _echo_lines(_detection_record(d) if fmt == "jsonl" else
-                f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
+    _echo_lines(f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
+                if fmt == "text" else
+                _record({"line": d.sentence_index, "class": d.class_id, "score": d.score,
+                         "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence]},
+                        d.binding)
                 for d in detections)
     if stats:
         for class_id in counts:
@@ -219,17 +207,12 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
 
 
 @main.command()
-@click.option("--id", "class_id", default=None, help="Show a single class.")
-def classes(class_id: str | None) -> None:
+@click.option("--id", "class_id", default="all", show_default=True,
+              help="Class id, or 'all'.")
+def classes(class_id: str) -> None:
     """List the built-in classes as classId<TAB>kind<TAB>template."""
-    registry = builtin_registry()
-    if class_id is not None:
-        registry = tuple(s for s in registry if s.class_id == class_id)
-        if not registry:
-            click.echo(f"error: unknown class {class_id!r}", err=True)
-            sys.exit(1)
     _echo_lines(f"{schema.class_id}\t{schema.kind.value}\t{render_template(schema)}"
-                for schema in registry)
+                for schema in _pick_schemas(class_id))
 
 
 @main.group("lexicon")

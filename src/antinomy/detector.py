@@ -54,7 +54,8 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
                     span: tuple[str, ...]) -> EvidenceKind | None:
     """Evidence kind if the slot's relation to its base holds, else None.
     Derived forms are compared as captures are reported, tokens joined
-    by hyphens ("not-to-talk")."""
+    by hyphens ("not-to-talk"), and are tried in sorted word order, so
+    the calls made do not depend on string hashing."""
     if lexicon.entry(base, spec.symbol) is None:
         return None
     words = ({base} if spec.relation is Relation.IDENTITY
@@ -62,7 +63,7 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
              else lexicon.synonyms(base, spec.symbol))
     if spec.derivations:
         if any(apply_derivations(w, spec.derivations).replace(" ", "-") == realized
-               for w in words):
+               for w in sorted(words)):
             return EvidenceKind.SUFFIX_INVERSE
         return None
     if spec.relation is Relation.IDENTITY:
@@ -109,11 +110,8 @@ def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
 def match_schema(lexicon: Lexicon, schema: Schema, sentence: str,
                  sentence_index: int = 0) -> Detection | None:
     """Match one schema against one sentence; None when the skeleton is absent."""
-    form = schema.compiled
-    match = form.regex.fullmatch(" ".join(normalize(sentence)))
-    if match is None:
-        return None
-    return _detection(lexicon, schema.class_id, form, match, sentence_index)
+    found = classify(lexicon, (schema,), sentence, sentence_index)
+    return found[0] if found else None
 
 
 def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,

@@ -127,10 +127,6 @@ class Lexicon:
             return NotImplemented
         return self._entries == other._entries
 
-    def __contains__(self, key: tuple[str, PartOfSpeech]) -> bool:
-        surface, pos = key
-        return (surface.lower(), pos) in self._entries
-
     def entries(self) -> tuple[LexEntry, ...]:
         return tuple(self._entries[k] for k in sorted(self._entries, key=_entry_key))
 
@@ -185,7 +181,6 @@ def parse_lexicon(source: str) -> Lexicon | ValidationReport:
     defects: list[Defect] = []
     repairs: list[Repair] = []
     parsed: dict[tuple[str, PartOfSpeech], tuple[list[str], list[str]]] = {}
-    order: list[tuple[str, PartOfSpeech]] = []
 
     source = source.removeprefix("\ufeff")
     for line_no, line in enumerate(source.splitlines(), start=1):
@@ -219,12 +214,9 @@ def parse_lexicon(source: str) -> Lexicon | ValidationReport:
             antonyms.remove(surface)
             repairs.append(SelfReferenceDropped(surface, pos, line_no))
         parsed[key] = (synonyms, antonyms)
-        order.append(key)
 
     # References must resolve within the same part of speech.
-    for key in order:
-        surface, pos = key
-        synonyms, antonyms = parsed[key]
+    for (surface, pos), (synonyms, antonyms) in parsed.items():
         for ref in synonyms + antonyms:
             if (ref, pos) not in parsed:
                 defects.append(DanglingReference(surface, ref))
@@ -233,18 +225,15 @@ def parse_lexicon(source: str) -> Lexicon | ValidationReport:
         return ValidationReport(tuple(defects), tuple(repairs))
 
     # Symmetric closure over antonyms, among existing entries only.
-    for key in order:
-        surface, pos = key
-        for ant in sorted(parsed[key][1]):
+    for (surface, pos), (_, antonyms) in parsed.items():
+        for ant in sorted(antonyms):
             back = parsed[(ant, pos)][1]
             if surface not in back:
                 back.append(surface)
                 repairs.append(SymmetryRepair(ant, pos, surface))
 
-    entries = {
-        key: LexEntry(key[0], key[1], frozenset(parsed[key][0]), frozenset(parsed[key][1]))
-        for key in order
-    }
+    entries = {key: LexEntry(*key, frozenset(synonyms), frozenset(antonyms))
+               for key, (synonyms, antonyms) in parsed.items()}
     return Lexicon(entries, ValidationReport(repairs=tuple(repairs)))
 
 

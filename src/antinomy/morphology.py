@@ -1,14 +1,15 @@
 """Rule-based English surface forms for slot fills.
 
-Small closed rule set, no exception dictionaries. Callers that know an
-irregular agent noun pass it as an override. The plural, agentive and
-gerund rules each have an inverse candidate generator used by
-detection; candidates are verified by re-applying the forward rule, so
-the two directions cannot drift.
+Small closed rule set, no exception dictionaries. The plural, agentive
+and gerund rules each have an inverse candidate generator used by
+detection: one routine undoes the rule's suffixes and keeps the
+candidates that re-applying the forward rule maps back, so the two
+directions cannot drift.
 """
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 VOWELS = "aeiou"
 
@@ -37,14 +38,9 @@ def indefinite_article(phrase: str) -> str:
     return "an" if phrase[0].lower() in VOWELS else "a"
 
 
-def agentive(verb: str, override: str | None = None) -> str:
+def agentive(verb: str) -> str:
     """Agent noun for a verb: hate -> hater, envy -> envier, kick -> kicker.
-
-    No consonant doubling. An override wins outright, for the handful of
-    verbs whose agent noun is lexicalized irregularly.
-    """
-    if override:
-        return override
+    No consonant doubling."""
     _require(verb)
     if verb.endswith("e"):
         return verb + "r"
@@ -98,51 +94,29 @@ def apply_derivations(word: str, derivations: tuple[Derivation, ...]) -> str:
     return word
 
 
-def _verified(word: str, raw: list[str], forward) -> tuple[str, ...]:
-    # Keep only candidates the forward rule actually maps back to `word`.
+def _bases(word: str, forward: Callable[[str], str],
+           rules: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
+    """Undo each (suffix, restored ending) rule in order; keep the distinct
+    non-empty candidates that `forward` maps back to `word`."""
     out: list[str] = []
-    for cand in raw:
-        if cand and cand not in out and forward(cand) == word:
-            out.append(cand)
+    for suffix, ending in rules:
+        if word.endswith(suffix):
+            cand = word[:-len(suffix)] + ending
+            if cand and cand not in out and forward(cand) == word:
+                out.append(cand)
     return tuple(out)
 
 
 def agentive_bases(word: str) -> tuple[str, ...]:
     """Candidate verbs whose agentive form is `word` (possibly several)."""
-    if not word:
-        return ()
-    raw = []
-    if word.endswith("ier"):
-        raw.append(word[:-3] + "y")
-    if word.endswith("r"):
-        raw.append(word[:-1])
-    if word.endswith("er"):
-        raw.append(word[:-2])
-    return _verified(word, raw, agentive)
+    return _bases(word, agentive, (("ier", "y"), ("r", ""), ("er", "")))
 
 
 def plural_bases(word: str) -> tuple[str, ...]:
     """Candidate nouns whose plural is `word`."""
-    if not word:
-        return ()
-    raw = []
-    if word.endswith("ies"):
-        raw.append(word[:-3] + "y")
-    if word.endswith("es"):
-        raw.append(word[:-2])
-    if word.endswith("s"):
-        raw.append(word[:-1])
-    return _verified(word, raw, pluralize)
+    return _bases(word, pluralize, (("ies", "y"), ("es", ""), ("s", "")))
 
 
 def gerund_bases(word: str) -> tuple[str, ...]:
     """Candidate verbs whose gerund is `word`."""
-    if not word:
-        return ()
-    raw = []
-    if word.endswith("ying"):
-        raw.append(word[:-4] + "ie")
-    if word.endswith("ing"):
-        raw.append(word[:-3] + "e")
-        raw.append(word[:-3])
-    return _verified(word, raw, gerund)
+    return _bases(word, gerund, (("ying", "ie"), ("ing", "e"), ("ing", "")))

@@ -101,10 +101,6 @@ class Schema:
     tokens: tuple[Token, ...]
     label: str = field(default="", compare=False)
 
-    @property
-    def pattern(self) -> str:
-        return render_tokens(self.tokens)
-
     def slot_specs(self) -> tuple[SlotSpec, ...]:
         """Slot specs in template order; index = the slot's ordinal."""
         return tuple(t.spec for t in self.tokens if isinstance(t, SlotToken))
@@ -305,7 +301,8 @@ def render_tokens(tokens: tuple[Token, ...]) -> str:
 
     Explicit #d markers are emitted on every slot when the stored group
     ids differ from what implicit assignment would produce, otherwise on
-    none; parse_template(render_tokens(t)) == t either way.
+    none; parse_template(render_tokens(t)) == t either way. A literal
+    holding a brace, or an explicit group id above 9, raises ValueError.
     """
     specs = [t.spec for t in tokens if isinstance(t, SlotToken)]
     stored = [spec.group_id for spec in specs]
@@ -315,6 +312,8 @@ def render_tokens(tokens: tuple[Token, ...]) -> str:
     parts = []
     for t in tokens:
         if isinstance(t, LiteralToken):
+            if "{" in t.text or "}" in t.text:
+                raise ValueError(f"literal {t.text!r} holds a brace and cannot be rendered")
             parts.append(t.text)
             continue
         s = t.spec
@@ -357,8 +356,15 @@ CATALOG_HEADER = (
 
 
 def dump_catalog(schemas: tuple[Schema, ...]) -> str:
-    rows = [f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}"
-            for s in schemas]
+    """Catalog text that load_catalog reads back to `schemas`, labels
+    included. A schema whose row would not read back as one row of four
+    fields, or would read as a comment, raises ValueError."""
+    rows = []
+    for s in schemas:
+        row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}"
+        if len(row.split("\t")) != 4 or row.splitlines() != [row] or row.lstrip().startswith("#"):
+            raise ValueError(f"class {s.class_id!r} cannot be written as a catalog row")
+        rows.append(row)
     return CATALOG_HEADER + "\n".join(rows) + "\n"
 
 

@@ -38,6 +38,13 @@ def test_classes_single_id():
     assert res.stdout == "4\tparadox\tThis is so {A}, that it looks {~A}.\n"
 
 
+def test_classes_id_all_lists_every_class():
+    res = runner.invoke(main, ["classes", "--id", "all"])
+    assert res.exit_code == 0
+    assert res.stdout == runner.invoke(main, ["classes"]).stdout
+    assert len(res.stdout.splitlines()) == 36
+
+
 def test_classes_unknown_id():
     res = runner.invoke(main, ["classes", "--id", "99"])
     assert res.exit_code == 1
@@ -248,6 +255,25 @@ def test_detect_text_format(tmp_path):
     res = runner.invoke(main, ["detect", "--input", str(corpus), "--format", "text"])
     assert res.exit_code == 0
     assert res.stdout == "0\t10\t1.000\tHell without hell.\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_detect_ignores_leading_bom(source, fmt, tmp_path):
+    def run(text: str):
+        args = ["detect", "--format", fmt]
+        if source == "stdin":
+            return runner.invoke(main, args, input=text.encode("utf-8"))
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="utf-8")
+        return runner.invoke(main, args + ["--input", str(path)])
+
+    plain = run("Hell without hell.\n")
+    with_bom = run("\ufeffHell without hell.\n")
+    assert plain.exit_code == with_bom.exit_code == 0
+    assert with_bom.stdout == plain.stdout
+    first = plain.stdout.splitlines()[0]
+    assert (json.loads(first)["class"] if fmt == "jsonl" else first.split("\t")[1]) == "10"
 
 
 def test_detect_min_score_filters():

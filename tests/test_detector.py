@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (Evidence, EvidenceKind, GenerateError, Lexicon, Schema, SchemaKind,
-                      classify, generate, match_schema, normalize, parse_lexicon,
-                      parse_template, scan_corpus)
+                      apply_derivations, classify, detector, generate, match_schema,
+                      normalize, parse_lexicon, parse_template, scan_corpus)
 from conftest import random_lexicon_source, random_template
 
 
@@ -121,6 +121,23 @@ def test_inflected_repeat_counts_as_synonym_suffix():
     assert det is not None
     assert det.score == 1.0
     assert det.evidence == (Evidence(1, EvidenceKind.SUFFIX_INVERSE),)
+
+
+def test_derived_forms_are_tried_in_sorted_word_order(monkeypatch):
+    # The calls a relation check makes must not depend on string hashing.
+    words = ["hate", "detest", "loathe", "abhor", "despise", "scorn"]
+    source = "".join(f"{w}\tV\t{','.join(o for o in words if o != w)}\t\n" for w in words)
+    calls: list[str] = []
+
+    def recorder(word, derivations):
+        calls.append(word)
+        return apply_derivations(word, derivations)
+
+    monkeypatch.setattr(detector, "apply_derivations", recorder)
+    schema = make_schema("30", "I {V} the {V':agent+pl}.")
+    det = match_schema(lex(source), schema, "I hate the gleebers.")
+    assert det is not None and det.score == 0.0
+    assert calls == sorted(words)
 
 
 @pytest.mark.parametrize("derived", ["dreamer", "dreaming"])

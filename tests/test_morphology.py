@@ -45,11 +45,6 @@ def test_agentive(verb, expected):
     assert agentive(verb) == expected
 
 
-def test_agentive_override_wins():
-    assert agentive("govern", override="governor") == "governor"
-    assert agentive("hate", override=None) == "hater"
-
-
 @pytest.mark.parametrize("noun,expected", PLURAL_CASES)
 def test_pluralize(noun, expected):
     assert pluralize(noun) == expected

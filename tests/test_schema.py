@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antinomy import (Derivation, LiteralToken, PartOfSpeech, Relation, Schema,
                       SchemaKind, SlotSpec, SlotToken, TemplateError,
@@ -130,7 +133,7 @@ def test_only_one_duplicated_pattern_pair():
     registry = builtin_registry()
     by_pattern: dict[str, list[str]] = {}
     for s in registry:
-        by_pattern.setdefault(s.pattern, []).append(s.class_id)
+        by_pattern.setdefault(render_template(s), []).append(s.class_id)
     dupes = {p: ids for p, ids in by_pattern.items() if len(ids) > 1}
     assert dupes == {"More {A} than {A'}.": ["23", "27"]}
 
@@ -152,6 +155,13 @@ def test_render_marks_every_slot_when_explicit():
 def test_render_rejects_unprintable_group_id():
     tokens = (SlotToken(spec(N, Relation.IDENTITY, 0, (), 11)),)
     with pytest.raises(ValueError):
+        render_tokens(tokens)
+
+
+@pytest.mark.parametrize("text", ["{x} is ", " }", "{"])
+def test_render_rejects_braces_in_literal_text(text):
+    tokens = (LiteralToken(text), SlotToken(spec(N, Relation.IDENTITY, 0, (), 0)))
+    with pytest.raises(ValueError, match="brace"):
         render_tokens(tokens)
 
 
@@ -209,3 +219,36 @@ def test_catalog_rejects_duplicate_class_id():
     text = "1\tparadox\t{N} without {N}.\n# note\n1\tparadox\t{~N} in the {N}.\n"
     with pytest.raises(ValueError, match="catalog line 3: duplicate class id '1'"):
         load_catalog(text)
+
+
+@pytest.mark.parametrize("class_id,label", [
+    ("u", "a\tb"), ("u", "a\nb"), ("u", "a\rb"), ("u", "a\x0bb"), ("u", "a\u2028b"),
+    ("u", "trailing\r"), ("u\tv", ""), ("#u", ""), ("  #u", ""), ("u\n", ""),
+])
+def test_dump_catalog_rejects_rows_that_do_not_read_back(class_id, label):
+    schema = Schema(class_id, SchemaKind.PARADOX, parse_template("{N} without {N}."), label)
+    with pytest.raises(ValueError, match=re.escape(f"class {class_id!r}")):
+        dump_catalog((schema,))
+
+
+# Arbitrary text, or short text over the characters a catalog row
+# cannot carry, so that both outcomes are common.
+_FIELD_TEXT = (st.text(max_size=6)
+               | st.text(st.sampled_from("#\t\n\r\x0b\x1c\x85\u2028 \ufeffa"), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT, st.sampled_from(SchemaKind),
+                          st.integers(0, 2 ** 32)),
+                max_size=3, unique_by=lambda row: row[0]))
+def test_dump_catalog_reads_back_or_raises(rows):
+    schemas = tuple(Schema(class_id, kind, parse_template(random_template(random.Random(seed))),
+                           label)
+                    for class_id, label, kind, seed in rows)
+    try:
+        text = dump_catalog(schemas)
+    except ValueError:
+        return
+    loaded = load_catalog(text)
+    assert loaded == schemas
+    assert [s.label for s in loaded] == [s.label for s in schemas]
