@@ -4,12 +4,14 @@ Matching is two-phase. Phase one aligns the whole normalized token
 sequence against the schema: literals must appear verbatim, slots
 capture one to three tokens, shortest capture first, leftmost binding
 wins. Only that first alignment is scored, even when another one would
-satisfy more relations (README detection rule 2). Phase two checks each
-non-base slot's relation to its group base and records one evidence
-item per satisfied relation. The skeleton decides whether a sentence
-has a schema's shape; the relations decide the score. An unknown base
-word leaves its relations checked but unsatisfied, so a skeleton-only
-match scores 0.
+satisfy more relations (README detection rule 2). A schema whose
+literal tokens are not all among the sentence's tokens cannot align, so
+it is not tried; this saves time and changes no result. Phase two
+checks each non-base slot's relation to its group base and records one
+evidence item per satisfied relation. The skeleton decides whether a
+sentence has a schema's shape; the relations decide the score. An
+unknown base word leaves its relations checked but unsatisfied, so a
+skeleton-only match scores 0.
 """
 from __future__ import annotations
 
@@ -56,11 +58,12 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
     Derived forms are compared as captures are reported, tokens joined
     by hyphens ("not-to-talk"), and are tried in sorted word order, so
     the calls made do not depend on string hashing."""
-    if lexicon.entry(base, spec.symbol) is None:
+    entry = lexicon.entry(base, spec.symbol)
+    if entry is None:
         return None
     words = ({base} if spec.relation is Relation.IDENTITY
-             else lexicon.antonyms(base, spec.symbol) if spec.relation is Relation.ANTONYM
-             else lexicon.synonyms(base, spec.symbol))
+             else entry.antonyms if spec.relation is Relation.ANTONYM
+             else entry.synonyms | {base})
     if spec.derivations:
         if any(apply_derivations(w, spec.derivations).replace(" ", "-") == realized
                for w in sorted(words)):
@@ -126,9 +129,12 @@ def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
     if not tokens:
         return []
     text = " ".join(tokens)
+    present = set(tokens)
     ranked: list[tuple[float, tuple[int, tuple[int, str]], Detection]] = []
     for schema in registry:
         form = schema.compiled
+        if not form.required <= present:
+            continue
         match = form.regex.fullmatch(text)
         if match is None:
             continue

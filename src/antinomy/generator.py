@@ -147,6 +147,22 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
                              Binding(bases, tuple(realized)))
 
 
+def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],
+                          overrides: Mapping[int, str]) -> list[Mapping[int, str]]:
+    """Per schema, the overrides whose word its group's part of speech
+    holds. An override that no schema's group can hold is kept for every
+    schema, so generation reports it as a BadOverrideError."""
+    def fits(schema: Schema, gid: int, word: str) -> bool:
+        return any(group.group_id == gid and lexicon.entry(word, group.pos) is not None
+                   for group in schema.compiled.groups)
+
+    usable = {gid for gid, word in overrides.items()
+              if any(fits(schema, gid, word) for schema in schemas)}
+    return [{gid: word for gid, word in overrides.items()
+             if gid not in usable or fits(schema, gid, word)}
+            for schema in schemas]
+
+
 def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
                    count: int, overrides: Mapping[int, str] | None = None) -> BatchResult:
     """Generate `count` sentences per schema.
@@ -155,14 +171,17 @@ def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
     sub_seed(seed, i*count + r), so a skipped schema never shifts the
     seeds of later items. A schema whose pool comes up empty is skipped
     once and recorded; bad overrides are caller errors and propagate.
+    An override applies to the groups whose part of speech holds its
+    word, and is an error only when no schema has such a group.
     """
     sentences: list[GeneratedSentence] = []
     skips: list[SkippedSchema] = []
-    for i, schema in enumerate(schemas):
+    per_schema = _overrides_per_schema(lexicon, schemas, overrides or {})
+    for i, (schema, schema_overrides) in enumerate(zip(schemas, per_schema)):
         for rep in range(count):
             item_seed = sub_seed(seed, i * count + rep)
             try:
-                sentences.append(generate(lexicon, schema, item_seed, overrides))
+                sentences.append(generate(lexicon, schema, item_seed, schema_overrides))
             except NoCandidateError as err:
                 skips.append(SkippedSchema(schema.class_id, str(err)))
                 break

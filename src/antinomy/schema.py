@@ -156,17 +156,23 @@ class CompiledSchema:
     literal token, `(?:a|an)` for an article marker, or a lazy group of
     one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
     alignments leftmost slot first, shortest capture first.
+
+    `required` holds the regex's literal tokens, unescaped, article
+    markers excluded. The regex matches only a sentence that has each of
+    them among its tokens, so a sentence missing one need not be tried.
     """
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
     base_ordinals: tuple[int, ...]            # per slot: its group's base slot
     text_format: str                          # literal text, "{}" per slot, for str.format
     regex: re.Pattern[str]
+    required: frozenset[str]
     rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
 
 
 def _compile_schema(schema: Schema) -> CompiledSchema:
     parts: list[str] = []
+    required: set[str] = set()
     for token in schema.tokens:
         if isinstance(token, SlotToken):
             parts.append(_SLOT_PATTERN)
@@ -175,7 +181,9 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
         for i, piece in enumerate(pieces):
             if i:
                 parts.append(_ARTICLE_PATTERN)
-            parts.extend(re.escape(t) for t in normalize(piece))
+            literals = normalize(piece)
+            required.update(literals)
+            parts.extend(re.escape(t) for t in literals)
     specs = schema.slot_specs()
     # A bare verb antonym slot falls back to "not to <verb>"; others need an antonym.
     groups = tuple(
@@ -194,6 +202,7 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
         base_ordinals=tuple(base_of[spec.group_id] for spec in specs),
         text_format=text_format,
         regex=re.compile(" ".join(parts)),
+        required=frozenset(required),
         rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
     )
 
@@ -355,14 +364,25 @@ CATALOG_HEADER = (
 )
 
 
+def _parses_to(dsl: str, tokens: tuple[Token, ...]) -> bool:
+    try:
+        return parse_template(dsl) == tokens
+    except TemplateError:
+        return False
+
+
 def dump_catalog(schemas: tuple[Schema, ...]) -> str:
     """Catalog text that load_catalog reads back to `schemas`, labels
     included. A schema whose row would not read back as one row of four
-    fields, or would read as a comment, raises ValueError."""
+    fields, would read as a comment, or whose template text would not
+    parse back to its tokens (such as two adjacent or empty literals, or
+    two adjacent slots), raises ValueError."""
     rows = []
     for s in schemas:
-        row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}"
-        if len(row.split("\t")) != 4 or row.splitlines() != [row] or row.lstrip().startswith("#"):
+        dsl = render_template(s)
+        row = f"{s.class_id}\t{s.kind.value}\t{dsl}\t{s.label}"
+        if (len(row.split("\t")) != 4 or row.splitlines() != [row]
+                or row.lstrip().startswith("#") or not _parses_to(dsl, s.tokens)):
             raise ValueError(f"class {s.class_id!r} cannot be written as a catalog row")
         rows.append(row)
     return CATALOG_HEADER + "\n".join(rows) + "\n"

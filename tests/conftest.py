@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 from importlib import resources
 
@@ -117,3 +118,12 @@ def random_template(rng: random.Random) -> str:
         parts.append(slot)
     parts.append(".")
     return "".join(parts)
+
+
+def with_article(rng: random.Random, dsl: str) -> str:
+    """The template with one mid-sentence literal word, at random, turned
+    into an article marker, so the marker meets every kind of neighbour."""
+    words = re.findall(r"(?<= )[a-z]+(?= )", dsl)
+    if not words or rng.random() < 0.5:
+        return dsl
+    return re.sub(rf"(?<= ){rng.choice(words)}(?= )", "a(n)", dsl, count=1)

@@ -3,7 +3,6 @@ aligner it replaced, which is kept here as the reference."""
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from antinomy import (PartOfSpeech, Schema, SchemaKind, classify, match_schema,
                       normalize, parse_template)
 from antinomy.schema import ARTICLE_MARKER_RE, MAX_SLOT_SPAN, SlotToken
-from conftest import random_template
+from conftest import random_template, with_article
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,6 @@ def reference_captures(elements, tokens) -> tuple[str, ...] | None:
 def compiled_captures(schema: Schema, tokens: tuple[str, ...]) -> tuple[str, ...] | None:
     match = schema.compiled.regex.fullmatch(" ".join(tokens))
     return None if match is None else match.groups()
-
-
-def with_article(rng: random.Random, dsl: str) -> str:
-    """The template with one mid-sentence literal word, at random, turned
-    into an article marker, so the marker meets every kind of neighbour."""
-    words = re.findall(r"(?<= )[a-z]+(?= )", dsl)
-    if not words or rng.random() < 0.5:
-        return dsl
-    return re.sub(rf"(?<= ){rng.choice(words)}(?= )", "a(n)", dsl, count=1)
 
 
 def skeleton_tokens(rng: random.Random, elements, words: list[str]) -> list[str]:

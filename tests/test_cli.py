@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import sub_seed
+from antinomy import PartOfSpeech, builtin_registry, sub_seed
 from antinomy.cli import _echo_lines, main
 
 runner = CliRunner()
@@ -134,6 +134,33 @@ def test_generate_slot_applies_to_every_class_with_the_group(tmp_path):
     assert len(records) == 36
     assert all(r["binding"]["bases"]["0"] == "possible"
                for r in records if "0" in r["binding"]["bases"])
+
+
+def test_generate_all_classes_slot_applies_where_the_word_fits():
+    # In the bundled lexicon "possible" is an attribute only: group 0 of
+    # every attribute class takes it, and the other classes draw as if
+    # no --slot were given.
+    res = runner.invoke(main, ["generate", "--class", "all", "--slot", "0=possible"])
+    plain = runner.invoke(main, ["generate", "--class", "all"])
+    assert res.exit_code == plain.exit_code == 0, res.stderr
+    pos = {s.class_id: {g.group_id: g.pos for g in s.compiled.groups}
+           for s in builtin_registry()}
+    pinned = 0
+    for record, unpinned in zip(res.stdout.splitlines(), plain.stdout.splitlines(), strict=True):
+        record = json.loads(record)
+        if pos[record["class"]].get(0) is PartOfSpeech.ATTRIBUTE:
+            assert record["binding"]["bases"]["0"] == "possible"
+            pinned += 1
+        else:
+            assert record == json.loads(unpinned)
+    assert pinned > 1
+
+
+def test_generate_all_classes_slot_word_no_group_takes():
+    res = runner.invoke(main, ["generate", "--class", "all", "--slot", "0=gleeb"])
+    assert res.exit_code == 1
+    assert res.stderr == "error: override 0=gleeb: not a known A word\n"
+    assert res.stdout == ""
 
 
 def test_generate_unknown_class(lex_file):

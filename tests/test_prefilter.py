@@ -1,0 +1,124 @@
+"""Differential test: classify with the required-literal prefilter against
+the loop it replaced, which tries every schema's regex and is kept here
+as the reference."""
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antinomy import (Detection, PartOfSpeech, Schema, SchemaKind, classify, generate,
+                      normalize, parse_template)
+from antinomy.detector import _detection
+from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken, MAX_SLOT_SPAN, SlotToken
+from conftest import random_template, with_article
+
+
+def reference_classify(lexicon, registry, sentence: str,
+                       sentence_index: int = 0) -> list[Detection]:
+    """classify without the prefilter: every schema's regex is tried."""
+    tokens = normalize(sentence)
+    if not tokens:
+        return []
+    text = " ".join(tokens)
+    ranked = []
+    for schema in registry:
+        form = schema.compiled
+        match = form.regex.fullmatch(text)
+        if match is None:
+            continue
+        detection = _detection(lexicon, schema.class_id, form, match, sentence_index)
+        ranked.append((-detection.score, form.rank_key, detection))
+    ranked.sort(key=lambda item: item[:2])
+    return [item[2] for item in ranked]
+
+
+def skeleton_sentence(rng: random.Random, schema: Schema, words: list[str]) -> str:
+    """Sentence text following the schema's tokens: literal text as
+    written, "a" or "an" per article marker, one to MAX_SLOT_SPAN words
+    per slot."""
+    out = []
+    for token in schema.tokens:
+        if isinstance(token, SlotToken):
+            out.append(" ".join(rng.choice(words)
+                                for _ in range(rng.randint(1, MAX_SLOT_SPAN))))
+        else:
+            out.append(ARTICLE_MARKER_RE.sub(lambda _: rng.choice(("a", "an")), token.text))
+    return "".join(out)
+
+
+def one_edit(rng: random.Random, sentence: str, words: list[str]) -> str:
+    """The sentence unchanged, or its tokens after one insertion, deletion
+    or swap of two neighbours."""
+    edit = rng.choice(("none", "insert", "delete", "swap"))
+    if edit == "none":
+        return sentence
+    tokens = list(normalize(sentence))
+    i = rng.randrange(len(tokens) + 1)
+    if edit == "insert":
+        tokens.insert(i, rng.choice(words))
+    elif edit == "delete" and i < len(tokens):
+        del tokens[i]
+    elif edit == "swap" and i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    return " ".join(tokens)
+
+
+def prose_line(rng: random.Random, vocabulary: list[str]) -> str:
+    """A sentence-shaped line of 4 to 30 tokens over the vocabulary, with
+    occasional commas and a closing mark."""
+    tokens: list[str] = []
+    for _ in range(rng.randint(4, 30) - 1):
+        comma = tokens and tokens[-1] != "," and rng.random() < 0.08
+        tokens.append("," if comma else rng.choice(vocabulary))
+    text = " ".join(tokens).replace(" ,", ",")
+    return text[0].upper() + text[1:] + rng.choice(".?!")
+
+
+def literal_words(schema: Schema) -> list[str]:
+    return [word for token in schema.tokens if isinstance(token, LiteralToken)
+            for word in normalize(ARTICLE_MARKER_RE.sub(" ", token.text))]
+
+
+@pytest.fixture(scope="session")
+def vocabulary(demo_lexicon, registry) -> list[str]:
+    """Lexicon words, the built-in literals and both articles."""
+    words = {w for pos in PartOfSpeech for w in demo_lexicon.words(pos)}
+    words.update(w for schema in registry for w in literal_words(schema))
+    return sorted(words | {"a", "an"})
+
+
+@settings(deadline=None, max_examples=300)
+@given(rng=st.randoms(use_true_random=False))
+def test_prefilter_keeps_classify_results(rng, demo_lexicon, registry, vocabulary):
+    if rng.random() < 0.3:
+        schema = rng.choice(registry)
+        schemas = registry
+    else:
+        schema = Schema("u", SchemaKind.PARADOX,
+                        parse_template(with_article(rng, random_template(rng))))
+        schemas = (*registry, schema)
+    words = literal_words(schema) + ["a", "an"] + rng.sample(vocabulary, 12)
+    sentences = [prose_line(rng, vocabulary)]
+    if schema.class_id != "u":
+        sentences.append(one_edit(rng, generate(demo_lexicon, schema,
+                                                rng.getrandbits(64)).sentence, words))
+    for _ in range(6):
+        sentences.append(one_edit(rng, skeleton_sentence(rng, schema, words), words))
+    for sentence in sentences:
+        assert (classify(demo_lexicon, schemas, sentence)
+                == reference_classify(demo_lexicon, schemas, sentence)), sentence
+
+
+@pytest.mark.parametrize("dsl,required", [
+    ("{N} is a(n) {N}.", {"is", "."}),
+    ("An {N} is A(n) {N}.", {"an", "is", "."}),
+    ("{A}; {~A}", {";"}),
+    ("{N} isn't self-made {~N}.", {"isn't", "self-made", "."}),
+    ("{A} Don’t {~A}!", {"don't", "!"}),
+    ("{N} {~N}", set()),
+])
+def test_required_literal_tokens(dsl, required):
+    assert Schema("u", SchemaKind.PARADOX, parse_template(dsl)).compiled.required == required

@@ -231,6 +231,22 @@ def test_dump_catalog_rejects_rows_that_do_not_read_back(class_id, label):
         dump_catalog((schema,))
 
 
+_WITHOUT = parse_template("{N} without {N}.")
+
+
+# Tokens parse_template never produces: they render to template text
+# that parses to other tokens, or not at all.
+@pytest.mark.parametrize("tokens", [
+    (LiteralToken("so "), LiteralToken("very "), *_WITHOUT),
+    (LiteralToken(""), *_WITHOUT),
+    (*_WITHOUT[:2], LiteralToken(""), *_WITHOUT[2:]),
+    (_WITHOUT[0], _WITHOUT[2], LiteralToken(".")),
+], ids=["adjacent-literals", "leading-empty-literal", "inner-empty-literal", "adjacent-slots"])
+def test_dump_catalog_rejects_tokens_that_do_not_read_back(tokens):
+    with pytest.raises(ValueError, match=re.escape("class 'u'")):
+        dump_catalog((Schema("u", SchemaKind.PARADOX, tokens),))
+
+
 # Arbitrary text, or short text over the characters a catalog row
 # cannot carry, so that both outcomes are common.
 _FIELD_TEXT = (st.text(max_size=6)
