@@ -7,11 +7,15 @@ wins. Only that first alignment is scored, even when another one would
 satisfy more relations (README detection rule 2). A schema whose
 literal tokens are not all among the sentence's tokens cannot align, so
 it is not tried; this saves time and changes no result. Phase two
-checks each non-base slot's relation to its group base and records one
-evidence item per satisfied relation. The skeleton decides whether a
-sentence has a schema's shape; the relations decide the score. An
-unknown base word leaves its relations checked but unsatisfied, so a
-skeleton-only match scores 0.
+walks the schema's compiled checks, one (slot, spec, base slot) per
+non-base slot, and audits each by one rule: the realized word must be
+in the relation's word set (the base, its antonyms, or its synonyms and
+the base), or for a derived slot be a set word's derived form. Two
+fallbacks follow a miss: NegInf for an antonym verb slot, SuffixInverse
+for a synonym slot. Each satisfied check records one evidence item.
+The skeleton decides whether a sentence has a schema's shape; the
+relations decide the score. An unknown base word leaves its relations
+checked but unsatisfied, so a skeleton-only match scores 0.
 """
 from __future__ import annotations
 
@@ -51,61 +55,52 @@ class Detection:
     evidence: tuple[Evidence, ...]
 
 
-def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
-                    base_span: tuple[str, ...], realized: str,
-                    span: tuple[str, ...]) -> EvidenceKind | None:
+def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
+                    base_text: str, text: str) -> EvidenceKind | None:
     """Evidence kind if the slot's relation to its base holds, else None.
-    Derived forms are compared as captures are reported, tokens joined
-    by hyphens ("not-to-talk"), and are tried in sorted word order, so
-    the calls made do not depend on string hashing."""
+    `base` and `realized` are captures as reported, tokens joined by
+    hyphens; `base_text` and `text` are captures as matched, joined by
+    spaces. The realized word must be in the relation's word set, or for
+    a derived slot be a set word's derived form, tried in sorted word
+    order so the calls made do not depend on string hashing. Otherwise
+    an antonym verb slot accepts "not to" + the base verb (NegInf), and
+    a synonym slot a suffixed form of a set word (SuffixInverse)."""
     entry = lexicon.entry(base, spec.symbol)
     if entry is None:
         return None
-    words = ({base} if spec.relation is Relation.IDENTITY
-             else entry.antonyms if spec.relation is Relation.ANTONYM
+    relation = spec.relation
+    words = ({base} if relation is Relation.IDENTITY
+             else entry.antonyms if relation is Relation.ANTONYM
              else entry.synonyms | {base})
     if spec.derivations:
-        if any(apply_derivations(w, spec.derivations).replace(" ", "-") == realized
-               for w in sorted(words)):
-            return EvidenceKind.SUFFIX_INVERSE
-        return None
-    if spec.relation is Relation.IDENTITY:
-        return EvidenceKind.IDENTITY_REPEAT if realized == base else None
-    if spec.relation is Relation.ANTONYM:
-        if realized in words:
-            return EvidenceKind.LEX_ANTONYM
-        if spec.symbol is PartOfSpeech.VERB and span == ("not", "to") + base_span:
-            return EvidenceKind.NEG_INF
-        return None
+        derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in sorted(words))
+        return EvidenceKind.SUFFIX_INVERSE if realized in derived else None
     if realized in words:
-        return EvidenceKind.LEX_SYNONYM
-    stripped: set[str] = set()
-    for invert in (plural_bases, agentive_bases, gerund_bases):
-        stripped.update(invert(realized))
-    if stripped & words:
-        return EvidenceKind.SUFFIX_INVERSE
+        return (EvidenceKind.IDENTITY_REPEAT if relation is Relation.IDENTITY
+                else EvidenceKind.LEX_ANTONYM if relation is Relation.ANTONYM
+                else EvidenceKind.LEX_SYNONYM)
+    if relation is Relation.ANTONYM:
+        negated = spec.symbol is PartOfSpeech.VERB and text == "not to " + base_text
+        return EvidenceKind.NEG_INF if negated else None
+    if relation is Relation.SYNONYM:
+        stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
+        return EvidenceKind.SUFFIX_INVERSE if stripped & words else None
     return None
 
 
 def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                match: re.Match[str], sentence_index: int) -> Detection:
     captured = match.groups()
-    spans = [tuple(c.split(" ")) for c in captured]
     joined = [c.replace(" ", "-") for c in captured]
-    bases = {group.group_id: joined[group.base_ordinal] for group in form.groups}
-
-    checked = satisfied = 0
     evidence: list[Evidence] = []
-    for i, (spec, base_ordinal) in enumerate(zip(form.specs, form.base_ordinals)):
-        if i == base_ordinal:
-            continue
-        checked += 1
-        kind = _check_relation(lexicon, spec, bases[spec.group_id],
-                               spans[base_ordinal], joined[i], spans[i])
+    for slot, spec, base_slot in form.checks:
+        kind = _check_relation(lexicon, spec, joined[base_slot], joined[slot],
+                               captured[base_slot], captured[slot])
         if kind is not None:
-            satisfied += 1
-            evidence.append(Evidence(i, kind))
+            evidence.append(Evidence(slot, kind))
+    checked, satisfied = len(form.checks), len(evidence)
     score = satisfied / checked if checked else 1.0
+    bases = {group.group_id: joined[group.base_ordinal] for group in form.groups}
     return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
                      satisfied, sentence_index, tuple(evidence))
 

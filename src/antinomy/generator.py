@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
 from .rng import SplitMix64, sub_seed
-from .schema import ARTICLE_MARKER_RE, Relation, Schema
+from .schema import ARTICLE_MARKER_RE, GroupPlan, Relation, Schema
 
 
 class GenerateError(Exception):
@@ -83,12 +83,26 @@ def _capitalize_first(text: str) -> str:
     return text
 
 
+def _refusal(lexicon: Lexicon, group: GroupPlan, word: str) -> str | None:
+    """Why the group cannot take the lower-case `word` as its base word,
+    or None when the pool the group draws from holds it:
+    words_with_antonyms(pos) if the group needs an antonym, else words(pos)."""
+    pos = group.pos
+    if lexicon.entry(word, pos) is None:
+        return f"not a known {pos.value} word"
+    if group.needs_antonym and not lexicon.antonyms(word, pos):
+        return ("word has no antonym and is not a verb" if pos is not PartOfSpeech.VERB
+                else "verb has no antonym for its derived antonym slot")
+    return None
+
+
 def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
              overrides: Mapping[int, str] | None = None) -> GeneratedSentence:
     """Produce one sentence from the schema.
 
     Base words are drawn per group from the sorted candidate pool, or
-    taken from `overrides` (group id -> word) after validation. Antonym
+    taken from `overrides` (group id -> word) when that pool holds the
+    word; an override for a group the schema lacks is ignored. Antonym
     slots draw from the word's antonyms; a bare verb antonym slot falls
     back to "not to <verb>" for an antonym-less verb. Synonym-prime slots
     prefer a synonym that is neither the base nor already used by an
@@ -104,11 +118,8 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
         gid, pos = group.group_id, group.pos
         if gid in overrides:
             word = overrides[gid].lower()
-            if lexicon.entry(word, pos) is None:
-                raise BadOverrideError(gid, word, f"not a known {pos.value} word")
-            if group.needs_antonym and not lexicon.antonyms(word, pos):
-                reason = ("word has no antonym and is not a verb" if pos is not PartOfSpeech.VERB
-                          else "verb has no antonym for its derived antonym slot")
+            reason = _refusal(lexicon, group, word)
+            if reason is not None:
                 raise BadOverrideError(gid, word, reason)
             bases[gid] = word
             continue
@@ -148,19 +159,32 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
 
 def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],
-                          overrides: Mapping[int, str]) -> list[Mapping[int, str]]:
-    """Per schema, the overrides whose word its group's part of speech
-    holds. An override that no schema's group can hold is kept for every
-    schema, so generation reports it as a BadOverrideError."""
-    def fits(schema: Schema, gid: int, word: str) -> bool:
-        return any(group.group_id == gid and lexicon.entry(word, group.pos) is not None
-                   for group in schema.compiled.groups)
-
-    usable = {gid for gid, word in overrides.items()
-              if any(fits(schema, gid, word) for schema in schemas)}
-    return [{gid: word for gid, word in overrides.items()
-             if gid not in usable or fits(schema, gid, word)}
-            for schema in schemas]
+                          overrides: Mapping[int, str]) -> list[dict[int, str]]:
+    """Per schema, the overrides whose group there accepts the word (see
+    _refusal). An override that no schema's group accepts raises
+    BadOverrideError: first one whose group no schema has, in the order
+    given, then the one refused first, with that group's reason."""
+    if not overrides:
+        return [{} for _ in schemas]      # and compile no schema
+    per_schema: list[dict[int, str]] = []
+    refusals: dict[int, str] = {}
+    for schema in schemas:
+        accepted: dict[int, str] = {}
+        for group in schema.compiled.groups:
+            gid = group.group_id
+            if gid in overrides:
+                reason = _refusal(lexicon, group, overrides[gid].lower())
+                if reason is None:
+                    accepted[gid] = overrides[gid]
+                else:
+                    refusals.setdefault(gid, reason)
+        per_schema.append(accepted)
+    taken = {gid for accepted in per_schema for gid in accepted}
+    for gid in [g for g in overrides if g not in refusals] + list(refusals):
+        if gid not in taken:
+            reason = refusals.get(gid, f"no selected class has group {gid}")
+            raise BadOverrideError(gid, overrides[gid].lower(), reason)
+    return per_schema
 
 
 def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
@@ -170,9 +194,9 @@ def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
     Iteration is schema-major: item (schema i, repetition r) uses
     sub_seed(seed, i*count + r), so a skipped schema never shifts the
     seeds of later items. A schema whose pool comes up empty is skipped
-    once and recorded; bad overrides are caller errors and propagate.
-    An override applies to the groups whose part of speech holds its
-    word, and is an error only when no schema has such a group.
+    once and recorded. An override applies to each group whose candidate
+    pool holds its word; the other schemas draw as usual. An override no
+    selected group accepts raises BadOverrideError, also when count is 0.
     """
     sentences: list[GeneratedSentence] = []
     skips: list[SkippedSchema] = []

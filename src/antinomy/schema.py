@@ -163,7 +163,7 @@ class CompiledSchema:
     """
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
-    base_ordinals: tuple[int, ...]            # per slot: its group's base slot
+    checks: tuple[tuple[int, SlotSpec, int], ...]  # (slot, spec, base slot) per non-base slot
     text_format: str                          # literal text, "{}" per slot, for str.format
     regex: re.Pattern[str]
     required: frozenset[str]
@@ -199,7 +199,8 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
     return CompiledSchema(
         specs=specs,
         groups=groups,
-        base_ordinals=tuple(base_of[spec.group_id] for spec in specs),
+        checks=tuple((i, spec, base_of[spec.group_id]) for i, spec in enumerate(specs)
+                     if i != base_of[spec.group_id]),
         text_format=text_format,
         regex=re.compile(" ".join(parts)),
         required=frozenset(required),

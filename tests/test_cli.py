@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import pty
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import pytest
@@ -8,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antinomy
 from antinomy import PartOfSpeech, builtin_registry, sub_seed
 from antinomy.cli import _echo_lines, main
 
@@ -158,6 +165,29 @@ def test_generate_all_classes_slot_applies_where_the_word_fits():
 
 def test_generate_all_classes_slot_word_no_group_takes():
     res = runner.invoke(main, ["generate", "--class", "all", "--slot", "0=gleeb"])
+    assert res.exit_code == 1
+    assert res.stderr == "error: override 0=gleeb: not a known A word\n"
+    assert res.stdout == ""
+
+
+def test_generate_all_classes_slot_skips_groups_that_need_an_antonym():
+    # "car" is a noun without antonyms: the noun classes whose group 0
+    # draws from every noun take it, those needing an antonym draw as usual.
+    res = runner.invoke(main, ["generate", "--class", "all", "--slot", "0=car"])
+    plain = runner.invoke(main, ["generate", "--class", "all"])
+    assert res.exit_code == plain.exit_code == 0, res.stderr
+    pinned = []
+    for record, unpinned in zip(res.stdout.splitlines(), plain.stdout.splitlines(), strict=True):
+        record = json.loads(record)
+        if record["binding"]["bases"].get("0") == "car":
+            pinned.append(record["class"])
+        else:
+            assert record == json.loads(unpinned)
+    assert pinned == ["5", "6", "10", "20a", "20b", "21", "22n"]
+
+
+def test_generate_count_zero_still_checks_overrides():
+    res = runner.invoke(main, ["generate", "--count", "0", "--slot", "0=gleeb"])
     assert res.exit_code == 1
     assert res.stderr == "error: override 0=gleeb: not a known A word\n"
     assert res.stdout == ""
@@ -337,11 +367,62 @@ def test_no_records_print_nothing(args, stdin):
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
 def test_echo_lines_batches_records(n, monkeypatch):
     calls = []
-    monkeypatch.setattr(click, "echo", lambda message: calls.append(message + "\n"))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=calls.append, flush=lambda: None))
     lines = [f"record {i}" for i in range(n)]
     _echo_lines(iter(lines))
     assert "".join(calls) == "".join(line + "\n" for line in lines)
     assert len(calls) == -(-n // 64)
+
+
+SRC = str(Path(antinomy.__file__).resolve().parents[1])
+ESCAPED = "\x1b[1mX without \x1b[1mX."
+
+
+def _stdout_bytes(args: list[str], on_terminal: bool) -> bytes:
+    """The CLI's stdout with stdout a pipe, or a pseudo-terminal whose
+    carriage returns are dropped."""
+    command = [sys.executable, "-m", "antinomy.cli", *args]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    if not on_terminal:
+        return subprocess.run(command, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, env=env, check=True).stdout
+    master, slave = pty.openpty()
+    chunks = []
+    with subprocess.Popen(command, stdin=subprocess.DEVNULL, stdout=slave,
+                          stderr=subprocess.DEVNULL, env=env) as proc:
+        os.close(slave)
+        while True:
+            try:
+                chunk = os.read(master, 4096)
+            except OSError:          # EIO once the child has closed the terminal
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    os.close(master)
+    assert proc.returncode == 0
+    return b"".join(chunks).replace(b"\r\n", b"\n")
+
+
+@pytest.mark.parametrize("command, source", [
+    (["detect", "--format", "text", "--min-score", "0"], f"Hell without hell.\n{ESCAPED}\n"),
+    (["generate", "--class", "all", "--count", "3", "--seed", "1", "--format", "text"],
+     "\x1b[1mgleeb\tN\t\t\nhell\tN\t\t\n"),
+])
+def test_stdout_is_the_same_on_a_terminal_and_a_pipe(command, source, tmp_path):
+    path = tmp_path / "source.txt"
+    path.write_text(source)
+    args = command + (["--input", str(path)] if command[0] == "detect" else ["--lexicon", str(path)])
+    piped = _stdout_bytes(args, on_terminal=False)
+    assert b"\x1b[1m" in piped
+    assert _stdout_bytes(args, on_terminal=True) == piped
+
+
+def test_detect_echoes_escapes_verbatim():
+    res = runner.invoke(main, ["detect", "--format", "text", "--min-score", "0"],
+                        input=ESCAPED + "\n")
+    assert res.exit_code == 0
+    assert res.stdout == f"0\t10\t0.000\t{ESCAPED}\n"
 
 
 def test_lexicon_validate_ok(lex_file):

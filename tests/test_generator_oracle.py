@@ -6,13 +6,15 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (BadOverrideError, Binding, GeneratedSentence, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
                       SlotSpec, SplitMix64, apply_derivations, generate,
-                      negated_infinitive, parse_lexicon, parse_template)
+                      generate_batch, negated_infinitive, parse_lexicon,
+                      parse_template, sub_seed)
 from antinomy.generator import _capitalize_first, _fix_articles
 from antinomy.schema import LiteralToken
 from conftest import random_lexicon_source, random_template
@@ -148,3 +150,47 @@ def test_generate_compiles_each_schema_once(demo_lexicon, monkeypatch):
     for seed in range(1, 6):
         generate(demo_lexicon, schema, seed)
     assert len(calls) == compiled_with
+
+
+def pool_holds(lexicon: Lexicon, schema: Schema, group_id: int, word: str) -> bool:
+    """Whether the schema's group draws from a pool holding the word."""
+    return any(g.group_id == group_id
+               and word.lower() in (lexicon.words_with_antonyms(g.pos) if g.needs_antonym
+                                    else lexicon.words(g.pos))
+               for g in schema.compiled.groups)
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_batch_overrides_go_to_the_groups_whose_pool_holds_the_word(seed, demo_lexicon,
+                                                                    registry):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        lexicon, schemas = demo_lexicon, rng.sample(registry, rng.randint(1, 6))
+    else:
+        lexicon = random_lexicon(rng)
+        schemas = [Schema(f"u{i}", SchemaKind.PARADOX, parse_template(random_template(rng)))
+                   for i in range(rng.randint(1, 4))]
+    words = [w for pos in PartOfSpeech for w in lexicon.words(pos)] + ["gleeb"]
+    group_ids = sorted({g.group_id for s in schemas for g in s.compiled.groups}) + [7]
+    overrides = {}
+    for _ in range(rng.randint(1, 2)):
+        word = rng.choice(words)
+        overrides[rng.choice(group_ids)] = word.upper() if rng.random() < 0.2 else word
+    batch_seed, count = rng.getrandbits(64), rng.randint(0, 2)
+
+    if any(not any(pool_holds(lexicon, s, gid, w) for s in schemas)
+           for gid, w in overrides.items()):
+        with pytest.raises(BadOverrideError):
+            generate_batch(lexicon, schemas, batch_seed, count, overrides)
+        return
+    expected = []
+    for i, schema in enumerate(schemas):
+        accepted = {gid: w for gid, w in overrides.items() if pool_holds(lexicon, schema, gid, w)}
+        for rep in range(count):
+            try:
+                expected.append(generate(lexicon, schema, sub_seed(batch_seed, i * count + rep),
+                                         accepted))
+            except NoCandidateError:
+                break
+    assert generate_batch(lexicon, schemas, batch_seed, count, overrides).sentences == tuple(expected)

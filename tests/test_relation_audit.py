@@ -1,0 +1,170 @@
+"""Differential test: the relation audit over each schema's compiled
+(slot, spec, base slot) checks against the per-relation audit it
+replaced, which is kept here as the reference. The reference looks up
+each slot's group base per match, skips base slots as it walks every
+slot, and carries each capture both as a token tuple and hyphen-joined."""
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, Lexicon,
+                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, generate,
+                      match_schema, normalize, parse_lexicon, parse_template)
+from antinomy.detector import _detection
+from antinomy.generator import Binding
+from antinomy.morphology import (agentive_bases, apply_derivations, gerund_bases,
+                                 plural_bases)
+from antinomy.schema import CompiledSchema, LiteralToken
+from conftest import random_lexicon_source, random_template
+
+
+def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
+                             base_span: tuple[str, ...], realized: str,
+                             span: tuple[str, ...]) -> EvidenceKind | None:
+    entry = lexicon.entry(base, spec.symbol)
+    if entry is None:
+        return None
+    words = ({base} if spec.relation is Relation.IDENTITY
+             else entry.antonyms if spec.relation is Relation.ANTONYM
+             else entry.synonyms | {base})
+    if spec.derivations:
+        if any(apply_derivations(w, spec.derivations).replace(" ", "-") == realized
+               for w in sorted(words)):
+            return EvidenceKind.SUFFIX_INVERSE
+        return None
+    if spec.relation is Relation.IDENTITY:
+        return EvidenceKind.IDENTITY_REPEAT if realized == base else None
+    if spec.relation is Relation.ANTONYM:
+        if realized in words:
+            return EvidenceKind.LEX_ANTONYM
+        if spec.symbol is PartOfSpeech.VERB and span == ("not", "to") + base_span:
+            return EvidenceKind.NEG_INF
+        return None
+    if realized in words:
+        return EvidenceKind.LEX_SYNONYM
+    stripped: set[str] = set()
+    for invert in (plural_bases, agentive_bases, gerund_bases):
+        stripped.update(invert(realized))
+    if stripped & words:
+        return EvidenceKind.SUFFIX_INVERSE
+    return None
+
+
+def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
+                        match, sentence_index: int) -> Detection:
+    captured = match.groups()
+    spans = [tuple(c.split(" ")) for c in captured]
+    joined = [c.replace(" ", "-") for c in captured]
+    bases = {group.group_id: joined[group.base_ordinal] for group in form.groups}
+    base_of = {group.group_id: group.base_ordinal for group in form.groups}
+
+    checked = satisfied = 0
+    evidence: list[Evidence] = []
+    for i, spec in enumerate(form.specs):
+        base_ordinal = base_of[spec.group_id]
+        if i == base_ordinal:
+            continue
+        checked += 1
+        kind = reference_check_relation(lexicon, spec, bases[spec.group_id],
+                                        spans[base_ordinal], joined[i], spans[i])
+        if kind is not None:
+            satisfied += 1
+            evidence.append(Evidence(i, kind))
+    score = satisfied / checked if checked else 1.0
+    return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
+                     satisfied, sentence_index, tuple(evidence))
+
+
+def lex(source: str) -> Lexicon:
+    parsed = parse_lexicon(source)
+    assert isinstance(parsed, Lexicon), str(parsed)
+    return parsed
+
+
+def one_token_edit(rng: random.Random, tokens: list[str], words: list[str]) -> list[str]:
+    """The tokens after one edit: a token inserted, deleted or replaced,
+    two neighbours joined by a hyphen, or a hyphenated token split."""
+    tokens = list(tokens)
+    i = rng.randrange(len(tokens))
+    edit = rng.choice(("insert", "delete", "replace", "join", "split"))
+    if edit == "insert":
+        tokens.insert(i, rng.choice(words))
+    elif edit == "delete":
+        del tokens[i]
+    elif edit == "replace":
+        tokens[i] = rng.choice(words)
+    elif edit == "join" and i + 1 < len(tokens):
+        tokens[i:i + 2] = [tokens[i] + "-" + tokens[i + 1]]
+    elif edit == "split" and "-" in tokens[i]:
+        tokens[i:i + 1] = tokens[i].split("-", 1)
+    return tokens
+
+
+@settings(deadline=None, max_examples=250)
+@given(rng=st.randoms(use_true_random=False))
+def test_audit_matches_reference(rng, demo_lexicon, registry):
+    if rng.random() < 0.3:
+        lexicon, schemas = demo_lexicon, rng.sample(registry, 6)
+    else:
+        lexicon = lex(random_lexicon_source(rng))
+        schemas = [Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng))),
+                   *rng.sample(registry, 2)]
+    words = [w for pos in PartOfSpeech for w in lexicon.words(pos)] + ["not", "to", "gleeb"]
+    words += [t for schema in schemas for token in schema.tokens
+              if isinstance(token, LiteralToken) for t in normalize(token.text)]
+    sentences: list[list[str]] = []
+    for schema in schemas:
+        for _ in range(2):
+            try:
+                out = generate(lexicon, schema, rng.getrandbits(64))
+            except GenerateError:
+                break
+            tokens = list(normalize(out.sentence))
+            words += tokens
+            sentences += [tokens, one_token_edit(rng, tokens, words)]
+    for index, tokens in enumerate(sentences):
+        text = " ".join(tokens)
+        for schema in schemas:
+            match = schema.compiled.regex.fullmatch(text)
+            if match is not None:
+                assert (_detection(lexicon, schema.class_id, schema.compiled, match, index)
+                        == reference_detection(lexicon, schema.class_id, schema.compiled,
+                                               match, index)), text
+
+
+@settings(deadline=None, max_examples=200)
+@given(rng=st.randoms(use_true_random=False))
+def test_checks_hold_every_non_base_slot_once(rng, registry):
+    schema = (rng.choice(registry) if rng.random() < 0.3 else
+              Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng))))
+    form = schema.compiled
+    base_of = {group.group_id: group.base_ordinal for group in form.groups}
+    assert form.checks == tuple((i, spec, base_of[spec.group_id])
+                                for i, spec in enumerate(form.specs)
+                                if i != base_of[spec.group_id])
+
+
+SPEAK = lex("speak\tV\t\t\n")
+NEGATION = Schema("9", SchemaKind.PARADOX, parse_template("{~V} sometimes means to {V}."))
+
+
+@pytest.mark.parametrize("sentence", ["Not to-speak sometimes means to speak.",
+                                      "Not-to speak sometimes means to speak."])
+def test_negated_infinitive_needs_three_separate_tokens(sentence):
+    det = match_schema(SPEAK, NEGATION, sentence)
+    assert det is not None
+    assert det.binding.realized == ("not-to-speak", "speak")
+    assert det.score == 0.0
+    assert det.evidence == ()
+
+
+def test_negated_infinitive_over_separate_tokens():
+    det = match_schema(SPEAK, NEGATION, "Not to speak sometimes means to speak.")
+    assert det is not None
+    assert det.binding.realized == ("not-to-speak", "speak")
+    assert det.score == 1.0
+    assert det.evidence == (Evidence(0, EvidenceKind.NEG_INF),)
