@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 bad input (unreadable or non-UTF-8 input or
 lexicon, invalid lexicon, unknown class, bad override, bad flag), 2
-generation produced nothing because every schema was skipped.
+generation produced nothing because every schema was skipped. Stdout
+and stderr are written verbatim: the same bytes on a terminal and a pipe.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import click
 
@@ -52,8 +53,7 @@ def _read_text(path: str | None) -> str:
             return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(1)
+        _fail(f"error: {err}")
 
 
 def _check_min_score(_ctx: click.Context, _param: click.Parameter, value: float) -> float:
@@ -69,9 +69,7 @@ def _load_lexicon(path: str | None) -> Lexicon:
         text = _read_text(path)
     parsed = parse_lexicon(text)
     if isinstance(parsed, ValidationReport):
-        click.echo("lexicon rejected:", err=True)
-        click.echo(str(parsed), err=True)
-        sys.exit(1)
+        _fail("lexicon rejected:", str(parsed))
     return parsed
 
 
@@ -81,18 +79,17 @@ def _pick_schemas(class_id: str) -> list[Schema]:
         return list(registry)
     chosen = [s for s in registry if s.class_id == class_id]
     if not chosen:
-        click.echo(f"error: unknown class {class_id!r}", err=True)
-        sys.exit(1)
+        _fail(f"error: unknown class {class_id!r}")
     return chosen
 
 
 _ECHO_BATCH = 64
 
 
-def _echo_lines(lines: Iterable[str]) -> None:
-    """Write each line with its newline to stdout, verbatim, in batches
+def _echo_lines(stream: TextIO, lines: Iterable[str]) -> None:
+    """Write each line with its newline to `stream`, verbatim, in batches
     of up to _ECHO_BATCH lines, and flush once at the end. The bytes are
-    the same on a terminal and on a pipe (click.echo strips terminal
+    the same on a terminal and on a pipe (click's echo strips terminal
     escapes from a pipe only), and one joined string for the whole
     output would hold all of it in memory at once. No lines write
     nothing."""
@@ -100,11 +97,17 @@ def _echo_lines(lines: Iterable[str]) -> None:
     for line in lines:
         batch.append(line)
         if len(batch) == _ECHO_BATCH:
-            sys.stdout.write("\n".join(batch) + "\n")
+            stream.write("\n".join(batch) + "\n")
             batch.clear()
     if batch:
-        sys.stdout.write("\n".join(batch) + "\n")
-    sys.stdout.flush()
+        stream.write("\n".join(batch) + "\n")
+    stream.flush()
+
+
+def _fail(*lines: str) -> NoReturn:
+    """Write the lines to stderr and exit 1."""
+    _echo_lines(sys.stderr, lines)
+    sys.exit(1)
 
 
 def _parse_overrides(slot_options: tuple[str, ...]) -> dict[int, str]:
@@ -121,8 +124,7 @@ def _parse_overrides(slot_options: tuple[str, ...]) -> dict[int, str]:
         else:
             overrides[group] = word
             continue
-        click.echo(f"error: {error}", err=True)
-        sys.exit(1)
+        _fail(f"error: {error}")
     return overrides
 
 
@@ -162,13 +164,12 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
     try:
         result = generate_batch(lexicon, schemas, seed, count, overrides)
     except BadOverrideError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(1)
-    for skip in result.skips:
-        click.echo(f"skipped: {skip.reason}", err=True)
-    _echo_lines(s.sentence if fmt == "text" else
-                _record({"class": s.class_id, "sentence": s.sentence, "seed": s.seed}, s.binding)
-                for s in result.sentences)
+        _fail(f"error: {err}")
+    _echo_lines(sys.stderr, (f"skipped: {skip.reason}" for skip in result.skips))
+    _echo_lines(sys.stdout, (
+        s.sentence if fmt == "text" else
+        _record({"class": s.class_id, "sentence": s.sentence, "seed": s.seed}, s.binding)
+        for s in result.sentences))
     if result.skips and not result.sentences:
         sys.exit(2)
 
@@ -193,15 +194,15 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
     text = _read_text(None if input_path == "-" else input_path)
     lines = text.removeprefix("\ufeff").splitlines()
     detections, counts = scan_corpus(lexicon, registry, lines, min_score)
-    _echo_lines(f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
-                if fmt == "text" else
-                _record({"line": d.sentence_index, "class": d.class_id, "score": d.score,
-                         "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence]},
-                        d.binding)
-                for d in detections)
+    _echo_lines(sys.stdout, (
+        f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
+        if fmt == "text" else
+        _record({"line": d.sentence_index, "class": d.class_id, "score": d.score,
+                 "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence]},
+                d.binding)
+        for d in detections))
     if stats:
-        for class_id in counts:
-            click.echo(f"{class_id}\t{counts[class_id]}", err=True)
+        _echo_lines(sys.stderr, (f"{class_id}\t{n}" for class_id, n in counts.items()))
 
 
 @main.command()
@@ -209,8 +210,8 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
               help="Class id, or 'all'.")
 def classes(class_id: str) -> None:
     """List the built-in classes as classId<TAB>kind<TAB>template."""
-    _echo_lines(f"{schema.class_id}\t{schema.kind.value}\t{render_template(schema)}"
-                for schema in _pick_schemas(class_id))
+    _echo_lines(sys.stdout, (f"{schema.class_id}\t{schema.kind.value}\t{render_template(schema)}"
+                             for schema in _pick_schemas(class_id)))
 
 
 @main.group("lexicon")
@@ -224,11 +225,11 @@ def lexicon_validate(path: str) -> None:
     """Parse a lexicon file and report defects and repairs."""
     parsed = parse_lexicon(_read_text(path))
     if isinstance(parsed, ValidationReport):
-        _echo_lines([str(parsed)])
+        _echo_lines(sys.stdout, [str(parsed)])
         sys.exit(1)
     report = parsed.report
     lines = [str(report)] if report.repairs else []
-    _echo_lines(lines + [f"ok: {len(parsed)} entries, {len(report.repairs)} repairs"])
+    _echo_lines(sys.stdout, lines + [f"ok: {len(parsed)} entries, {len(report.repairs)} repairs"])
 
 
 if __name__ == "__main__":

@@ -68,12 +68,15 @@ class BatchResult:
     skips: tuple[SkippedSchema, ...]
 
 
-def _fix_articles(text: str) -> str:
+def _render(text_format: str, realized: Sequence[str]) -> str:
+    """`text_format` filled with `realized`, each article marker of its
+    literal text resolved against the filled text after it. A marker
+    inside a slot fill is the fill's own text and stays as it is."""
     def repl(m) -> str:
-        tail = text[m.end():].lstrip()
+        tail = text_format[m.end():].format(*realized).lstrip()
         article = indefinite_article(tail) if tail else "a"
         return article.capitalize() if m.group(0)[0] == "A" else article
-    return ARTICLE_MARKER_RE.sub(repl, text)
+    return ARTICLE_MARKER_RE.sub(repl, text_format).format(*realized)
 
 
 def _capitalize_first(text: str) -> str:
@@ -153,7 +156,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             used_synonyms[spec.group_id].add(word)
         realized.append(apply_derivations(word, spec.derivations))
 
-    sentence = _capitalize_first(_fix_articles(form.text_format.format(*realized)))
+    sentence = _capitalize_first(_render(form.text_format, realized))
     return GeneratedSentence(schema.class_id, sentence, seed,
                              Binding(bases, tuple(realized)))
 

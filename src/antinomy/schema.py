@@ -164,7 +164,7 @@ class CompiledSchema:
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
     checks: tuple[tuple[int, SlotSpec, int], ...]  # (slot, spec, base slot) per non-base slot
-    text_format: str                          # literal text, "{}" per slot, for str.format
+    text_format: str                          # literal text, "{i}" per slot i, for str.format
     regex: re.Pattern[str]
     required: frozenset[str]
     rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
@@ -193,9 +193,10 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
                       for i in ordinals))
         for gid, ordinals in schema.groups().items())
     base_of = {g.group_id: g.base_ordinal for g in groups}
+    slot_index = itertools.count()
     text_format = "".join(
-        "{}" if isinstance(t, SlotToken) else t.text.replace("{", "{{").replace("}", "}}")
-        for t in schema.tokens)
+        f"{{{next(slot_index)}}}" if isinstance(t, SlotToken)
+        else t.text.replace("{", "{{").replace("}", "}}") for t in schema.tokens)
     return CompiledSchema(
         specs=specs,
         groups=groups,
@@ -365,28 +366,24 @@ CATALOG_HEADER = (
 )
 
 
-def _parses_to(dsl: str, tokens: tuple[Token, ...]) -> bool:
-    try:
-        return parse_template(dsl) == tokens
-    except TemplateError:
-        return False
-
-
 def dump_catalog(schemas: tuple[Schema, ...]) -> str:
     """Catalog text that load_catalog reads back to `schemas`, labels
-    included. A schema whose row would not read back as one row of four
-    fields, would read as a comment, or whose template text would not
-    parse back to its tokens (such as two adjacent or empty literals, or
-    two adjacent slots), raises ValueError."""
-    rows = []
+    included. Each row is read back by load_catalog after the header, as
+    it stands in the text; a row that does not read back to its schema
+    (a tab or line break in a field, a row read as a comment, template
+    text that parses to other tokens), or a repeated class id, raises
+    ValueError naming the class."""
+    rows: dict[str, str] = {}
     for s in schemas:
-        dsl = render_template(s)
-        row = f"{s.class_id}\t{s.kind.value}\t{dsl}\t{s.label}"
-        if (len(row.split("\t")) != 4 or row.splitlines() != [row]
-                or row.lstrip().startswith("#") or not _parses_to(dsl, s.tokens)):
+        row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}\n"
+        try:
+            back = [(b, b.label) for b in load_catalog(CATALOG_HEADER + row)]
+        except ValueError:
+            back = []
+        if s.class_id in rows or back != [(s, s.label)]:
             raise ValueError(f"class {s.class_id!r} cannot be written as a catalog row")
-        rows.append(row)
-    return CATALOG_HEADER + "\n".join(rows) + "\n"
+        rows[s.class_id] = row
+    return CATALOG_HEADER + "".join(rows.values())
 
 
 def load_catalog(text: str) -> tuple[Schema, ...]:

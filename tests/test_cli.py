@@ -365,11 +365,11 @@ def test_no_records_print_nothing(args, stdin):
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
-def test_echo_lines_batches_records(n, monkeypatch):
+def test_echo_lines_batches_records(n):
     calls = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=calls.append, flush=lambda: None))
+    stream = SimpleNamespace(write=calls.append, flush=lambda: None)
     lines = [f"record {i}" for i in range(n)]
-    _echo_lines(iter(lines))
+    _echo_lines(stream, iter(lines))
     assert "".join(calls) == "".join(line + "\n" for line in lines)
     assert len(calls) == -(-n // 64)
 
@@ -378,18 +378,21 @@ SRC = str(Path(antinomy.__file__).resolve().parents[1])
 ESCAPED = "\x1b[1mX without \x1b[1mX."
 
 
-def _stdout_bytes(args: list[str], on_terminal: bool) -> bytes:
-    """The CLI's stdout with stdout a pipe, or a pseudo-terminal whose
-    carriage returns are dropped."""
+def _output(args: list[str], on_terminal: bool, stream: str = "stdout") -> tuple[int, bytes]:
+    """The CLI's exit code and the bytes it writes to `stream` ("stdout"
+    or "stderr"), that stream being a pipe, or a pseudo-terminal whose
+    carriage returns are dropped. The other stream is discarded."""
     command = [sys.executable, "-m", "antinomy.cli", *args]
     env = {**os.environ, "PYTHONPATH": SRC}
+    streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
     if not on_terminal:
-        return subprocess.run(command, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, env=env, check=True).stdout
+        res = subprocess.run(command, stdin=subprocess.DEVNULL, env=env,
+                             **{**streams, stream: subprocess.PIPE})
+        return res.returncode, getattr(res, stream)
     master, slave = pty.openpty()
     chunks = []
-    with subprocess.Popen(command, stdin=subprocess.DEVNULL, stdout=slave,
-                          stderr=subprocess.DEVNULL, env=env) as proc:
+    with subprocess.Popen(command, stdin=subprocess.DEVNULL, env=env,
+                          **{**streams, stream: slave}) as proc:
         os.close(slave)
         while True:
             try:
@@ -400,8 +403,7 @@ def _stdout_bytes(args: list[str], on_terminal: bool) -> bytes:
                 break
             chunks.append(chunk)
     os.close(master)
-    assert proc.returncode == 0
-    return b"".join(chunks).replace(b"\r\n", b"\n")
+    return proc.returncode, b"".join(chunks).replace(b"\r\n", b"\n")
 
 
 @pytest.mark.parametrize("command, source", [
@@ -413,9 +415,23 @@ def test_stdout_is_the_same_on_a_terminal_and_a_pipe(command, source, tmp_path):
     path = tmp_path / "source.txt"
     path.write_text(source)
     args = command + (["--input", str(path)] if command[0] == "detect" else ["--lexicon", str(path)])
-    piped = _stdout_bytes(args, on_terminal=False)
-    assert b"\x1b[1m" in piped
-    assert _stdout_bytes(args, on_terminal=True) == piped
+    piped = _output(args, on_terminal=False)
+    assert piped[0] == 0 and b"\x1b[1m" in piped[1]
+    assert _output(args, on_terminal=True) == piped
+
+
+@pytest.mark.parametrize("args, lexicon", [
+    (["generate", "--class", "10", "--slot", "0=\x1b[1mcar"], None),
+    (["generate"], "word\tA\t\t\x1b[1mmissing\n"),
+], ids=["bad-slot-word", "dangling-reference"])
+def test_stderr_is_the_same_on_a_terminal_and_a_pipe(args, lexicon, tmp_path):
+    if lexicon is not None:
+        path = tmp_path / "escapes.lex"
+        path.write_text(lexicon)
+        args = args + ["--lexicon", str(path)]
+    piped = _output(args, on_terminal=False, stream="stderr")
+    assert piped[0] == 1 and b"\x1b[1m" in piped[1]
+    assert _output(args, on_terminal=True, stream="stderr") == piped
 
 
 def test_detect_echoes_escapes_verbatim():

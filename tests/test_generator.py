@@ -172,6 +172,15 @@ def test_capitalized_article_marker():
     assert out.sentence == "An end origin."
 
 
+def test_article_marker_in_a_slot_fill_is_printed_as_it_is():
+    nouns = lex("ba(n)d\tN\t\t\nhell\tN\t\t\n")
+    out = generate(nouns, make_schema("10", "{N} without {N}."), overrides={0: "ba(n)d"})
+    assert out.sentence == "Ba(n)d without ba(n)d."
+    out = generate(nouns, make_schema("u", "A(n) {N} is a(n) {N}."), overrides={0: "ba(n)d"})
+    assert out.sentence == "A ba(n)d is a ba(n)d."
+    assert out.binding.realized == ("ba(n)d", "ba(n)d")
+
+
 def test_first_letter_is_capitalized():
     nouns = lex("hell\tN\t\t\n")
     schema = make_schema("10", "{N} without {N}.")

@@ -1,6 +1,7 @@
 """Differential test: `generate` over compiled schemas and stored lexicon
 pools against the per-sentence version it replaced, which is kept here
-as the reference."""
+as the reference, and against the article resolution it replaced, which
+is kept here too and applied to each literal token."""
 from __future__ import annotations
 
 import random
@@ -13,11 +14,21 @@ from hypothesis import strategies as st
 from antinomy import (BadOverrideError, Binding, GeneratedSentence, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
                       SlotSpec, SplitMix64, apply_derivations, generate,
-                      generate_batch, negated_infinitive, parse_lexicon,
-                      parse_template, sub_seed)
-from antinomy.generator import _capitalize_first, _fix_articles
-from antinomy.schema import LiteralToken
-from conftest import random_lexicon_source, random_template
+                      generate_batch, indefinite_article, negated_infinitive,
+                      parse_lexicon, parse_template, sub_seed)
+from antinomy.generator import _capitalize_first
+from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken
+from conftest import random_lexicon_source, random_template, with_article
+
+
+def reference_fix_articles(text: str, rest: str) -> str:
+    """Each article marker of `text` resolved against the text after it,
+    `rest` included."""
+    def repl(m) -> str:
+        tail = (text[m.end():] + rest).lstrip()
+        article = indefinite_article(tail) if tail else "a"
+        return article.capitalize() if m.group(0)[0] == "A" else article
+    return ARTICLE_MARKER_RE.sub(repl, text)
 
 
 def reference_needs_antonym(specs: Sequence[SlotSpec], group_id: int) -> bool:
@@ -80,23 +91,30 @@ def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             used_synonyms[spec.group_id].add(word)
         realized.append(apply_derivations(word, spec.derivations))
 
-    parts = []
     slot_iter = iter(realized)
-    for token in schema.tokens:
-        parts.append(token.text if isinstance(token, LiteralToken) else next(slot_iter))
-    sentence = _capitalize_first(_fix_articles("".join(parts)))
+    parts = [token.text if isinstance(token, LiteralToken) else next(slot_iter)
+             for token in schema.tokens]
+    # Only the template's literal text holds article markers; a slot fill
+    # is printed as it is, and the text after a marker reads unresolved.
+    sentence = _capitalize_first("".join(
+        reference_fix_articles(part, "".join(parts[k + 1:]))
+        if isinstance(token, LiteralToken) else part
+        for k, (token, part) in enumerate(zip(schema.tokens, parts))))
     return GeneratedSentence(schema.class_id, sentence, seed,
                              Binding(bases, tuple(realized)))
 
 
 def random_lexicon(rng: random.Random) -> Lexicon:
     """A parsed random lexicon; at times one part of speech loses every
-    antonym, so antonym groups of that POS have no candidate at all."""
+    antonym, so antonym groups of that POS have no candidate at all, and
+    at times a word holds an article marker."""
     lines = random_lexicon_source(rng).splitlines()
     if rng.random() < 0.4:
         bare = rng.choice("NVA")
         lines = ["\t".join(f[:3] + [""]) if len(f) == 4 and f[1] == bare else line
                  for line, f in ((line, line.split("\t")) for line in lines)]
+    if rng.random() < 0.3:
+        lines.append(f"{rng.choice(['a(n)', 'ba(n)d', 'A(n)-x'])}\t{rng.choice('NVA')}\t\t")
     lexicon = parse_lexicon("\n".join(lines) + "\n")
     assert isinstance(lexicon, Lexicon)
     return lexicon
@@ -132,7 +150,8 @@ def test_generate_matches_reference(seed, demo_lexicon, registry):
         lexicon, schema = demo_lexicon, rng.choice(registry)
     else:
         lexicon = random_lexicon(rng)
-        schema = Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng)))
+        schema = Schema("u", SchemaKind.PARADOX,
+                        parse_template(with_article(rng, random_template(rng))))
     for _ in range(6):
         item_seed = rng.getrandbits(64)
         overrides = random_overrides(rng, lexicon, schema) if rng.random() < 0.5 else None
