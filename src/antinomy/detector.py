@@ -20,9 +20,8 @@ checked but unsatisfied, so a skeleton-only match scores 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .generator import Binding
 from .lexicon import Lexicon, PartOfSpeech
@@ -38,14 +37,12 @@ class EvidenceKind(Enum):
     IDENTITY_REPEAT = "IdentityRepeat"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     slot: int
     kind: EvidenceKind
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     class_id: str
     binding: Binding
     score: float

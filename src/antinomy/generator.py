@@ -9,8 +9,7 @@ NoCandidateError instead of rejection loops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
@@ -40,30 +39,26 @@ class BadOverrideError(GenerateError):
         self.word = word
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """Chosen base word per group, plus every slot's realized surface."""
 
     bases: dict[int, str]
     realized: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GeneratedSentence:
+class GeneratedSentence(NamedTuple):
     class_id: str
     sentence: str
     seed: int
     binding: Binding
 
 
-@dataclass(frozen=True)
-class SkippedSchema:
+class SkippedSchema(NamedTuple):
     class_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     sentences: tuple[GeneratedSentence, ...]
     skips: tuple[SkippedSchema, ...]
 

@@ -8,9 +8,8 @@ reported. Synonym lists stay directed, as thesaurus sources have them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 POS_LETTERS = ("N", "V", "A")
 
@@ -21,16 +20,14 @@ class PartOfSpeech(Enum):
     ATTRIBUTE = "A"
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     surface: str
     pos: PartOfSpeech
     synonyms: frozenset[str]
     antonyms: frozenset[str]
 
 
-@dataclass(frozen=True)
-class MalformedLine:
+class MalformedLine(NamedTuple):
     line_no: int
     reason: str
 
@@ -38,8 +35,7 @@ class MalformedLine:
         return f"line {self.line_no}: malformed line ({self.reason})"
 
 
-@dataclass(frozen=True)
-class DuplicateEntry:
+class DuplicateEntry(NamedTuple):
     surface: str
     pos: PartOfSpeech
     line_no: int
@@ -48,8 +44,7 @@ class DuplicateEntry:
         return f"line {self.line_no}: duplicate entry {self.surface}/{self.pos.value}"
 
 
-@dataclass(frozen=True)
-class DanglingReference:
+class DanglingReference(NamedTuple):
     from_word: str
     to_word: str
 
@@ -60,8 +55,7 @@ class DanglingReference:
 Defect = MalformedLine | DuplicateEntry | DanglingReference
 
 
-@dataclass(frozen=True)
-class SymmetryRepair:
+class SymmetryRepair(NamedTuple):
     """`surface` gained `antonym` to restore symmetric antonymy."""
 
     surface: str
@@ -72,8 +66,7 @@ class SymmetryRepair:
         return f"repair: added {self.antonym} to antonyms of {self.surface}/{self.pos.value}"
 
 
-@dataclass(frozen=True)
-class SelfReferenceDropped:
+class SelfReferenceDropped(NamedTuple):
     """A word listed itself as its own antonym; the reference was dropped."""
 
     surface: str
@@ -87,8 +80,7 @@ class SelfReferenceDropped:
 Repair = SymmetryRepair | SelfReferenceDropped
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     defects: tuple[Defect, ...] = ()
     repairs: tuple[Repair, ...] = ()
 

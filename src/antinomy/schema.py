@@ -30,6 +30,7 @@ import re
 from importlib import resources
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .lexicon import PartOfSpeech
 from .morphology import Derivation
@@ -67,8 +68,7 @@ class SchemaKind(Enum):
     TAUTOLOGY = "tautology"
 
 
-@dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(NamedTuple):
     symbol: PartOfSpeech
     relation: Relation
     prime: int
@@ -81,13 +81,11 @@ class SlotSpec:
                 and not self.derivations)
 
 
-@dataclass(frozen=True)
-class LiteralToken:
+class LiteralToken(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class SlotToken:
+class SlotToken(NamedTuple):
     spec: SlotSpec
 
 
@@ -134,8 +132,7 @@ def normalize(sentence: str) -> tuple[str, ...]:
     return tuple(_WORD_RE.findall(text))
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(NamedTuple):
     """One slot group: generation draws its base word, detection binds it."""
     group_id: int
     pos: PartOfSpeech
@@ -147,8 +144,7 @@ _ARTICLE_PATTERN = "(?:a|an)"
 _SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
 
 
-@dataclass(frozen=True)
-class CompiledSchema:
+class CompiledSchema(NamedTuple):
     """What generation and detection need of a schema, worked out once.
 
     `regex` is matched against a sentence's normalized tokens joined by
@@ -369,14 +365,14 @@ CATALOG_HEADER = (
 def dump_catalog(schemas: tuple[Schema, ...]) -> str:
     """Catalog text that load_catalog reads back to `schemas`, labels
     included. Each row is read back by load_catalog after the header, as
-    it stands in the text; a row that does not read back to its schema
-    (a tab or line break in a field, a row read as a comment, template
-    text that parses to other tokens), or a repeated class id, raises
-    ValueError naming the class."""
+    it stands in the text; a schema whose tokens do not render, a row
+    that does not read back to its schema (a tab or line break in a
+    field, a row read as a comment, template text that parses to other
+    tokens), or a repeated class id raises ValueError naming the class."""
     rows: dict[str, str] = {}
     for s in schemas:
-        row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}\n"
         try:
+            row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}\n"
             back = [(b, b.label) for b in load_catalog(CATALOG_HEADER + row)]
         except ValueError:
             back = []

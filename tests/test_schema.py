@@ -247,13 +247,15 @@ def test_dump_catalog_keeps_a_class_id_that_starts_with_a_bom():
 
 
 # Tokens parse_template never produces: they render to template text
-# that parses to other tokens, or not at all.
+# that parses to other tokens or not at all, or they do not render.
 @pytest.mark.parametrize("tokens", [
     (LiteralToken("so "), LiteralToken("very "), *_WITHOUT),
     (LiteralToken(""), *_WITHOUT),
     (*_WITHOUT[:2], LiteralToken(""), *_WITHOUT[2:]),
     (_WITHOUT[0], _WITHOUT[2], LiteralToken(".")),
-], ids=["adjacent-literals", "leading-empty-literal", "inner-empty-literal", "adjacent-slots"])
+    (LiteralToken("x{y "), *_WITHOUT),
+], ids=["adjacent-literals", "leading-empty-literal", "inner-empty-literal", "adjacent-slots",
+        "brace-literal"])
 def test_dump_catalog_rejects_tokens_that_do_not_read_back(tokens):
     with pytest.raises(ValueError, match=re.escape("class 'u'")):
         dump_catalog((Schema("u", SchemaKind.PARADOX, tokens),))
