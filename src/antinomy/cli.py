@@ -131,7 +131,7 @@ def _parse_overrides(slot_options: tuple[str, ...]) -> dict[int, str]:
 def _record(fields: dict[str, object], binding: Binding) -> str:
     """One JSON line: `fields`, to which the binding is added last."""
     fields["binding"] = {
-        "bases": {str(g): w for g, w in sorted(binding.bases.items())},
+        "bases": {str(g): w for g, w in sorted(binding.bases)},
         "realized": list(binding.realized),
     }
     return json.dumps(fields)

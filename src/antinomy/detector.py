@@ -25,7 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .generator import Binding
 from .lexicon import Lexicon, PartOfSpeech
-from .morphology import agentive_bases, apply_derivations, gerund_bases, plural_bases
+from .morphology import (agentive_bases, apply_derivations, gerund_bases,
+                         negated_infinitive, plural_bases)
 from .schema import CompiledSchema, Relation, Schema, SlotSpec, normalize
 
 
@@ -60,8 +61,8 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
     spaces. The realized word must be in the relation's word set, or for
     a derived slot be a set word's derived form, tried in sorted word
     order so the calls made do not depend on string hashing. Otherwise
-    an antonym verb slot accepts "not to" + the base verb (NegInf), and
-    a synonym slot a suffixed form of a set word (SuffixInverse)."""
+    an antonym verb slot accepts the base verb's negated infinitive (NegInf),
+    and a synonym slot a suffixed form of a set word (SuffixInverse)."""
     entry = lexicon.entry(base, spec.symbol)
     if entry is None:
         return None
@@ -77,7 +78,7 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
                 else EvidenceKind.LEX_ANTONYM if relation is Relation.ANTONYM
                 else EvidenceKind.LEX_SYNONYM)
     if relation is Relation.ANTONYM:
-        negated = spec.symbol is PartOfSpeech.VERB and text == "not to " + base_text
+        negated = spec.symbol is PartOfSpeech.VERB and text == negated_infinitive(base_text)
         return EvidenceKind.NEG_INF if negated else None
     if relation is Relation.SYNONYM:
         stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
@@ -97,7 +98,7 @@ def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
             evidence.append(Evidence(slot, kind))
     checked, satisfied = len(form.checks), len(evidence)
     score = satisfied / checked if checked else 1.0
-    bases = {group.group_id: joined[group.base_ordinal] for group in form.groups}
+    bases = tuple([(group.group_id, joined[group.base_ordinal]) for group in form.groups])
     return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
                      satisfied, sentence_index, tuple(evidence))
 

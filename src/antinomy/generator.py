@@ -40,9 +40,9 @@ class BadOverrideError(GenerateError):
 
 
 class Binding(NamedTuple):
-    """Chosen base word per group, plus every slot's realized surface."""
+    """(group id, base word) per group in group order, plus each slot's realized surface."""
 
-    bases: dict[int, str]
+    bases: tuple[tuple[int, str], ...]
     realized: tuple[str, ...]
 
 
@@ -153,7 +153,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
     sentence = _capitalize_first(_render(form.text_format, realized))
     return GeneratedSentence(schema.class_id, sentence, seed,
-                             Binding(bases, tuple(realized)))
+                             Binding(tuple(bases.items()), tuple(realized)))
 
 
 def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],

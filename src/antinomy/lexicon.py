@@ -8,10 +8,15 @@ reported. Synonym lists stay directed, as thesaurus sources have them.
 """
 from __future__ import annotations
 
+import re
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 POS_LETTERS = ("N", "V", "A")
+
+# A word is one token of `schema.normalize`, so `detect` binds what `generate` prints.
+WORD_PATTERN = r"[a-z0-9]+(?:['\-][a-z0-9]+)*"
+_WORD_RE = re.compile(WORD_PATTERN)
 
 
 class PartOfSpeech(Enum):
@@ -153,12 +158,16 @@ def _entry_key(key: tuple[str, PartOfSpeech]) -> tuple[str, str]:
 
 
 def _split_words(field_text: str) -> list[str]:
-    words = []
-    for w in field_text.split(","):
-        w = w.strip().lower()
-        if w and w not in words:
-            words.append(w)
-    return words
+    words = (w.strip().lower() for w in field_text.split(","))
+    return list(dict.fromkeys(w for w in words if w))
+
+
+def _data_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-split fields) per line after one leading BOM; blank and
+    `#` lines skipped."""
+    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield line_no, line.split("\t")
 
 
 def parse_lexicon(source: str) -> Lexicon | ValidationReport:
@@ -174,34 +183,26 @@ def parse_lexicon(source: str) -> Lexicon | ValidationReport:
     repairs: list[Repair] = []
     parsed: dict[tuple[str, PartOfSpeech], tuple[list[str], list[str]]] = {}
 
-    source = source.removeprefix("\ufeff")
-    for line_no, line in enumerate(source.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
+    for line_no, fields in _data_rows(source):
         if len(fields) != 4:
             defects.append(MalformedLine(line_no, f"expected 4 tab-separated fields, got {len(fields)}"))
             continue
         surface = fields[0].strip().lower()
-        pos_text = fields[1].strip().upper()
-        if not surface or any(c.isspace() for c in surface):
-            defects.append(MalformedLine(line_no, f"bad surface {fields[0]!r}"))
+        synonyms = _split_words(fields[2])
+        antonyms = _split_words(fields[3])
+        bad = [w for w in [surface, *synonyms, *antonyms] if not _WORD_RE.fullmatch(w)]
+        if bad:
+            defects.append(MalformedLine(line_no, f"bad word {bad[0]!r}"))
             continue
+        pos_text = fields[1].strip().upper()
         if pos_text not in POS_LETTERS:
             defects.append(MalformedLine(line_no, f"bad pos {fields[1]!r}"))
             continue
         pos = PartOfSpeech(pos_text)
-        bad_word = next((w for w in fields[2].split(",") + fields[3].split(",")
-                         if any(c.isspace() for c in w.strip())), None)
-        if bad_word is not None:
-            defects.append(MalformedLine(line_no, f"word with whitespace {bad_word!r}"))
-            continue
         key = (surface, pos)
         if key in parsed:
             defects.append(DuplicateEntry(surface, pos, line_no))
             continue
-        synonyms = _split_words(fields[2])
-        antonyms = _split_words(fields[3])
         if surface in antonyms:
             antonyms.remove(surface)
             repairs.append(SelfReferenceDropped(surface, pos, line_no))

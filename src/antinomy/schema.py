@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .lexicon import PartOfSpeech
+from .lexicon import WORD_PATTERN, PartOfSpeech, _data_rows
 from .morphology import Derivation
 
 ARTICLE_MARKER_RE = re.compile(r"[Aa]\(n\)")
 MAX_SLOT_SPAN = 3
 
-_WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*|[^a-z0-9\s]")
+_WORD_RE = re.compile(rf"{WORD_PATTERN}|[^a-z0-9\s]")   # a lexicon word, or one other character
 
 UNKNOWN_SYMBOL = "unknown-symbol"
 UNBALANCED_BRACES = "unbalanced-braces"
@@ -390,10 +390,7 @@ def load_catalog(text: str) -> tuple[Schema, ...]:
     """
     schemas = []
     seen: set[str] = set()
-    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
+    for line_no, fields in _data_rows(text):
         if len(fields) not in (3, 4):
             raise ValueError(f"catalog line {line_no}: expected 3 or 4 fields")
         class_id, kind_text, dsl = fields[:3]

@@ -49,7 +49,7 @@ def test_full_match_detection_fields():
     det = match_schema(OPPOSITES, CLASS_1, "All is possible, the impossible too.")
     assert det is not None
     assert det.class_id == "1"
-    assert det.binding.bases == {0: "possible"}
+    assert det.binding.bases == ((0, "possible"),)
     assert det.binding.realized == ("possible", "impossible")
     assert det.score == 1.0
     assert det.relations_checked == 1
@@ -211,7 +211,7 @@ def test_hyphenated_entry_matches_two_word_span():
     schema = make_schema("10", "{N} without {N}.")
     det = match_schema(nouns, schema, "Sad song without sad song.")
     assert det is not None
-    assert det.binding.bases == {0: "sad-song"}
+    assert det.binding.bases == ((0, "sad-song"),)
     assert det.score == 1.0
 
 
@@ -235,7 +235,7 @@ def test_only_the_first_alignment_is_scored(demo_lexicon, registry):
     line = "There is some slavery which which know and really not to know at the same time."
     top = classify(demo_lexicon, registry, line)[0]
     assert (top.class_id, top.score) == ("6", 0.0)
-    assert top.binding.bases == {0: "slavery", 1: "which-know"}
+    assert top.binding.bases == ((0, "slavery"), (1, "which-know"))
     assert top.binding.realized == ("slavery", "which-know", "not-to-know")
 
 

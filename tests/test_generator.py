@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from antinomy import (BadOverrideError, Lexicon, LiteralToken, NoCandidateError,
-                      SchemaKind, Schema, SlotToken, SplitMix64, generate,
+from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
+                      PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, generate,
                       generate_batch, parse_lexicon, parse_template, sub_seed)
+
+N = PartOfSpeech.NOUN
 
 # Published reference outputs for seed 0.
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -59,7 +61,7 @@ def test_override_fills_the_base_group():
     schema = make_schema("1", "All is {A}, the {~A} too.")
     out = generate(OPPOSITES, schema, seed=3, overrides={0: "possible"})
     assert out.sentence == "All is possible, the impossible too."
-    assert out.binding.bases == {0: "possible"}
+    assert out.binding.bases == ((0, "possible"),)
     assert out.binding.realized == ("possible", "impossible")
     assert out.class_id == "1"
     assert out.seed == 3
@@ -68,7 +70,7 @@ def test_override_fills_the_base_group():
 def test_override_is_case_insensitive():
     schema = make_schema("1", "All is {A}, the {~A} too.")
     out = generate(OPPOSITES, schema, overrides={0: "Possible"})
-    assert out.binding.bases == {0: "possible"}
+    assert out.binding.bases == ((0, "possible"),)
 
 
 def test_generation_is_deterministic():
@@ -79,7 +81,7 @@ def test_generation_is_deterministic():
 
 def test_different_seeds_cover_the_pool():
     schema = make_schema("1", "All is {A}, the {~A} too.")
-    seen = {generate(OPPOSITES, schema, seed=s).binding.bases[0] for s in range(20)}
+    seen = {dict(generate(OPPOSITES, schema, seed=s).binding.bases)[0] for s in range(20)}
     assert seen == {"possible", "impossible"}
 
 
@@ -122,7 +124,7 @@ def test_derived_verb_antonym_slot_needs_a_lexical_antonym(dsl, sentence):
     # "speak" has no antonym to derive from: no "not to speaking" and no
     # "not to not to speak".
     schema = make_schema("u", dsl)
-    bases = {generate(MIXED_VERBS, schema, seed=s).binding.bases[0] for s in range(20)}
+    bases = {dict(generate(MIXED_VERBS, schema, seed=s).binding.bases)[0] for s in range(20)}
     assert bases == {"win", "lose"}
     assert generate(MIXED_VERBS, schema, overrides={0: "win"}).sentence == sentence
     with pytest.raises(BadOverrideError, match="verb has no antonym"):
@@ -173,7 +175,8 @@ def test_capitalized_article_marker():
 
 
 def test_article_marker_in_a_slot_fill_is_printed_as_it_is():
-    nouns = lex("ba(n)d\tN\t\t\nhell\tN\t\t\n")
+    # parse_lexicon refuses "ba(n)d", so it enters through the constructor.
+    nouns = Lexicon({(w, N): LexEntry(w, N, frozenset(), frozenset()) for w in ("ba(n)d", "hell")})
     out = generate(nouns, make_schema("10", "{N} without {N}."), overrides={0: "ba(n)d"})
     assert out.sentence == "Ba(n)d without ba(n)d."
     out = generate(nouns, make_schema("u", "A(n) {N} is a(n) {N}."), overrides={0: "ba(n)d"})

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (BadOverrideError, Binding, GeneratedSentence, Lexicon,
+from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
                       SlotSpec, SplitMix64, apply_derivations, generate,
                       generate_batch, indefinite_article, negated_infinitive,
@@ -101,7 +101,7 @@ def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
         if isinstance(token, LiteralToken) else part
         for k, (token, part) in enumerate(zip(schema.tokens, parts))))
     return GeneratedSentence(schema.class_id, sentence, seed,
-                             Binding(bases, tuple(realized)))
+                             Binding(tuple(bases.items()), tuple(realized)))
 
 
 def random_lexicon(rng: random.Random) -> Lexicon:
@@ -113,11 +113,18 @@ def random_lexicon(rng: random.Random) -> Lexicon:
         bare = rng.choice("NVA")
         lines = ["\t".join(f[:3] + [""]) if len(f) == 4 and f[1] == bare else line
                  for line, f in ((line, line.split("\t")) for line in lines)]
+    marked = None
     if rng.random() < 0.3:
-        lines.append(f"{rng.choice(['a(n)', 'ba(n)d', 'A(n)-x'])}\t{rng.choice('NVA')}\t\t")
+        marked = (rng.choice(['a(n)', 'ba(n)d', 'a(n)-x']), PartOfSpeech(rng.choice('NVA')))
     lexicon = parse_lexicon("\n".join(lines) + "\n")
     assert isinstance(lexicon, Lexicon)
-    return lexicon
+    if marked is None:
+        return lexicon
+    # parse_lexicon refuses a word holding parentheses, so it enters
+    # through the constructor.
+    entries = {(e.surface, e.pos): e for e in lexicon.entries()}
+    entries[marked] = LexEntry(*marked, frozenset(), frozenset())
+    return Lexicon(entries, lexicon.report)
 
 
 def random_overrides(rng: random.Random, lexicon: Lexicon, schema: Schema) -> dict[int, str]:

@@ -3,12 +3,15 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (DanglingReference, DuplicateEntry, Lexicon, MalformedLine,
-                      PartOfSpeech, SelfReferenceDropped, SymmetryRepair,
-                      ValidationReport, parse_lexicon, serialize_lexicon)
+from antinomy import (DanglingReference, DuplicateEntry, GenerateError, Lexicon,
+                      MalformedLine, PartOfSpeech, SelfReferenceDropped, SymmetryRepair,
+                      ValidationReport, builtin_registry, classify, generate, normalize,
+                      parse_lexicon, serialize_lexicon)
+from antinomy.lexicon import POS_LETTERS
 from conftest import random_lexicon_source
 
 A = PartOfSpeech.ATTRIBUTE
@@ -204,3 +207,93 @@ def test_leading_byte_order_mark_is_ignored():
     plain = parse_lexicon(source)
     assert isinstance(plain, Lexicon)
     assert parse_lexicon("\ufeff" + source) == plain
+
+
+# Words that `normalize` does not read back as one token.
+REFUSED_WORDS = ("o.k", "café", "ba(n)d", ".", "don’t")
+
+
+@pytest.mark.parametrize("word", REFUSED_WORDS)
+def test_word_that_does_not_read_back_whole_is_refused_as_a_surface(word):
+    report = parse_lexicon(f"# nouns\nhell\tN\t\t\n{word.upper()}\tN\thell\t\n")
+    assert isinstance(report, ValidationReport)
+    assert report.defects == (MalformedLine(3, f"bad word {word!r}"),)
+
+
+@pytest.mark.parametrize("word", REFUSED_WORDS)
+def test_word_that_does_not_read_back_whole_is_refused_in_a_word_list(word):
+    for synonyms, antonyms in ((f"hell, {word}", ""), ("", f" {word.upper()} ")):
+        report = parse_lexicon(f"hell\tN\t\t\n\nheaven\tN\t{synonyms}\t{antonyms}\n")
+        assert isinstance(report, ValidationReport)
+        assert report.defects == (MalformedLine(3, f"bad word {word!r}"),)
+
+
+def test_accepted_words_are_whole_normalize_tokens():
+    lexicon = parse_lexicon("non-diary\tN\tdon't,x2\t\ndon't\tN\t\t\nx2\tN\t\t\n")
+    assert isinstance(lexicon, Lexicon)
+    for entry in lexicon.entries():
+        assert normalize(entry.surface) == (entry.surface,)
+
+
+# Template literals such as "a", "not" and "to" are words too.
+_LITERALS = sorted({"a", "an", *(t for s in builtin_registry() for t in s.compiled.required
+                                 if t[0].isalnum())})
+
+
+@st.composite
+def words(draw) -> str:
+    """Mostly words the rule accepts; one in eight is arbitrary text,
+    near misses such as "o.k", "-x", "don’t" and "café" among them."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.text() | st.text("ab0-'’.(é \u212a", max_size=5))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_LITERALS))
+    parts = draw(st.lists(st.text("aeiknorsty0K\u212a", min_size=1, max_size=4),
+                          min_size=1, max_size=2))
+    return draw(st.sampled_from("-'")).join(parts)
+
+
+@st.composite
+def listed_words(draw, surfaces: list[str]) -> str:
+    """Mostly a surface of `surfaces`, at times in capitals or padded
+    with spaces; one in eight is drawn by `words`."""
+    if not surfaces or draw(st.integers(0, 7)) == 0:
+        return draw(words())
+    surface = draw(st.sampled_from(surfaces))
+    return draw(st.sampled_from([surface, surface.upper(), f" {surface} "]))
+
+
+@st.composite
+def lexicon_sources(draw) -> str:
+    """Lexicon text over `words`; listed words are drawn mostly from the
+    surfaces of the same POS, so that some sources are accepted."""
+    lines = []
+    for pos in POS_LETTERS:
+        surfaces = draw(st.lists(words(), max_size=4))
+        for surface in surfaces:
+            synonyms, antonyms = (",".join(draw(st.lists(listed_words(surfaces), max_size=2)))
+                                  for _ in "sa")
+            lines.append(f"{surface}\t{pos}\t{synonyms}\t{antonyms}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(source=lexicon_sources(), seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+def test_every_accepted_lexicon_reads_back_through_detect(source, seed):
+    # Either parse_lexicon refuses the source, or every built-in class
+    # that generates from it detects back at score 1.0 as itself or as a
+    # class with the same skeleton: 27 always reads as 23, and 22n as 22a
+    # (or 2v as 2a or 2n) when its word is listed under both parts of speech.
+    lexicon = parse_lexicon(source)
+    if isinstance(lexicon, ValidationReport):
+        return
+    registry = builtin_registry()
+    skeleton = {s.class_id: s.compiled.regex.pattern for s in registry}
+    for schema in registry:
+        try:
+            out = generate(lexicon, schema, seed)
+        except GenerateError:
+            continue
+        top = classify(lexicon, registry, out.sentence)[0]
+        assert top.score == 1.0, out.sentence
+        assert skeleton[top.class_id] == skeleton[schema.class_id], (schema.class_id, out.sentence)

@@ -12,11 +12,11 @@ from antinomy import (BatchResult, Binding, DanglingReference, Detection,
                       LexEntry, LiteralToken, MalformedLine, PartOfSpeech,
                       Relation, SelfReferenceDropped, SkippedSchema, SlotSpec,
                       SlotToken, SymmetryRepair, ValidationReport,
-                      builtin_registry, parse_lexicon)
+                      builtin_registry, classify, generate_batch, parse_lexicon)
 
 A = PartOfSpeech.ATTRIBUTE
 _SPEC = SlotSpec(A, Relation.IDENTITY, 0, (), 0)
-_BINDING = Binding({0: "hot"}, ("hot", "cold"))
+_BINDING = Binding(((0, "hot"),), ("hot", "cold"))
 _FORM = builtin_registry()[0].compiled
 
 # (record, its field names in order)
@@ -89,3 +89,25 @@ def test_same_shape_defect_and_repair_keep_their_types():
     assert [type(r) for r in report.repairs] == [SelfReferenceDropped]
     assert str(report) == ("line 2: duplicate entry big/A\n"
                            "repair: line 1: dropped self-antonym of big/A")
+
+
+def test_result_records_hash_and_hold_no_mutable_field(demo_lexicon, registry):
+    batch = generate_batch(demo_lexicon, registry, seed=1, count=1)
+    again = generate_batch(demo_lexicon, registry, seed=1, count=1)
+    assert hash(batch) == hash(again)
+    for sentence, same in zip(batch.sentences, again.sentences):
+        assert hash(sentence) == hash(same)
+        detection = classify(demo_lexicon, registry, sentence.sentence)[0]
+        assert hash(detection) == hash(classify(demo_lexicon, registry, sentence.sentence)[0])
+        with pytest.raises(TypeError):
+            detection.binding.bases[0] = (0, "zzz")
+
+
+def test_bases_are_pairs_in_the_schemas_group_order(demo_lexicon, registry):
+    for sentence in generate_batch(demo_lexicon, registry, seed=1, count=1).sentences:
+        schema = next(s for s in registry if s.class_id == sentence.class_id)
+        group_ids = tuple(g.group_id for g in schema.compiled.groups)
+        detection = classify(demo_lexicon, [schema], sentence.sentence)[0]
+        for binding in (sentence.binding, detection.binding):
+            assert tuple(g for g, _ in binding.bases) == group_ids
+        assert detection.binding.bases == sentence.binding.bases

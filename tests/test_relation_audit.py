@@ -75,7 +75,7 @@ def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
             satisfied += 1
             evidence.append(Evidence(i, kind))
     score = satisfied / checked if checked else 1.0
-    return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
+    return Detection(class_id, Binding(tuple(bases.items()), tuple(joined)), score, checked,
                      satisfied, sentence_index, tuple(evidence))
 
 
