@@ -34,8 +34,9 @@ print(out.sentence)
 ranked = classify(lexicon, [schema], out.sentence)
 print(ranked[0].class_id, ranked[0].score)
 
-# malformed templates are rejected with a reason kind
-for bad in ("{N}{V} touching slots.", "{Q} unknown symbol.", "{~A} no base."):
+# malformed templates are rejected with a reason kind; text glued onto a
+# slot ("{N}'s") would print a word that detection cannot split back off
+for bad in ("{N}{V} touching slots.", "{Q} unknown symbol.", "{~A} no base.", "{N}'s {~N}."):
     try:
         parse_template(bad)
     except TemplateError as err:

@@ -23,11 +23,10 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .generator import Binding
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import (agentive_bases, apply_derivations, gerund_bases,
                          negated_infinitive, plural_bases)
-from .schema import CompiledSchema, Relation, Schema, SlotSpec, normalize
+from .schema import Binding, CompiledSchema, Relation, Schema, SlotSpec, normalize
 
 
 class EvidenceKind(Enum):

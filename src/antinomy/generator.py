@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
 from .rng import SplitMix64, sub_seed
-from .schema import ARTICLE_MARKER_RE, GroupPlan, Relation, Schema
+from .schema import ARTICLE_MARKERS, Binding, GroupPlan, Relation, Schema
 
 
 class GenerateError(Exception):
@@ -39,13 +39,6 @@ class BadOverrideError(GenerateError):
         self.word = word
 
 
-class Binding(NamedTuple):
-    """(group id, base word) per group in group order, plus each slot's realized surface."""
-
-    bases: tuple[tuple[int, str], ...]
-    realized: tuple[str, ...]
-
-
 class GeneratedSentence(NamedTuple):
     class_id: str
     sentence: str
@@ -63,20 +56,24 @@ class BatchResult(NamedTuple):
     skips: tuple[SkippedSchema, ...]
 
 
-def _render(text_format: str, realized: Sequence[str]) -> str:
-    """`text_format` filled with `realized`, each article marker of its
-    literal text resolved against the filled text after it. A marker
-    inside a slot fill is the fill's own text and stays as it is."""
-    def repl(m) -> str:
-        tail = text_format[m.end():].format(*realized).lstrip()
-        article = indefinite_article(tail) if tail else "a"
-        return article.capitalize() if m.group(0)[0] == "A" else article
-    return ARTICLE_MARKER_RE.sub(repl, text_format).format(*realized)
+def _render(pieces: Sequence[str | int], realized: Sequence[str]) -> str:
+    """The pieces filled from the right, each article marker resolved against
+    the text after it; a marker inside a slot fill is printed as it is."""
+    text = ""
+    for piece in reversed(pieces):
+        if isinstance(piece, int):
+            piece = realized[piece]
+        elif piece in ARTICLE_MARKERS:
+            tail = text.lstrip()
+            article = indefinite_article(tail) if tail else "a"
+            piece = article.capitalize() if piece[0] == "A" else article
+        text = piece + text
+    return text
 
 
 def _capitalize_first(text: str) -> str:
     for i, c in enumerate(text):
-        if c.isalpha():
+        if c.isalnum():
             return text[:i] + c.upper() + text[i + 1:]
     return text
 
@@ -151,7 +148,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             used_synonyms[spec.group_id].add(word)
         realized.append(apply_derivations(word, spec.derivations))
 
-    sentence = _capitalize_first(_render(form.text_format, realized))
+    sentence = _capitalize_first(_render(form.pieces, realized))
     return GeneratedSentence(schema.class_id, sentence, seed,
                              Binding(tuple(bases.items()), tuple(realized)))
 

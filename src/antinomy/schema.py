@@ -17,10 +17,12 @@ primes, no flags); the first such slot carries the group's base word.
 
 The literal text "a(n)" is an article marker: generation resolves it
 against the following word, detection accepts exactly one "a" or "an".
+Each slot and marker must read as a word of its own: a template whose
+literal text would glue onto one ("x{N}", "{N}'s", "a(n)x") is rejected.
 
 Each schema compiles once, on first use, to a CompiledSchema kept on the
-instance: the per-group facts generation draws by and the anchored regex
-detection matches with.
+instance. Its `pieces`, the template split once at slots and markers,
+are what generation fills and what detection's anchored regex is built from.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ from typing import NamedTuple
 from .lexicon import WORD_PATTERN, PartOfSpeech, _data_rows
 from .morphology import Derivation
 
-ARTICLE_MARKER_RE = re.compile(r"[Aa]\(n\)")
+ARTICLE_MARKER_RE = re.compile(r"([Aa]\(n\))")     # the group keeps markers in a split
+ARTICLE_MARKERS = ("a(n)", "A(n)")
 MAX_SLOT_SPAN = 3
 
 _WORD_RE = re.compile(rf"{WORD_PATTERN}|[^a-z0-9\s]")   # a lexicon word, or one other character
@@ -46,6 +49,7 @@ ADJACENT_SLOTS = "adjacent-slots"
 BAD_DERIVATION_FLAG = "bad-derivation-flag"
 GROUP_CONFLICT = "group-conflict"
 MISSING_BASE = "missing-base"
+GLUED_SLOT = "glued-slot"
 
 
 class TemplateError(ValueError):
@@ -140,15 +144,23 @@ class GroupPlan(NamedTuple):
     needs_antonym: bool       # the base must have a lexical antonym
 
 
-_ARTICLE_PATTERN = "(?:a|an)"
+class Binding(NamedTuple):
+    """(group id, base word) per group in group order, plus each slot's realized surface."""
+    bases: tuple[tuple[int, str], ...]
+    realized: tuple[str, ...]
+
+
 _SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
 
 
 class CompiledSchema(NamedTuple):
     """What generation and detection need of a schema, worked out once.
 
+    `pieces` is the template split once at its slots and article markers:
+    literal text, the marker texts of ARTICLE_MARKERS, and slot ordinals.
+
     `regex` is matched against a sentence's normalized tokens joined by
-    single spaces. Each element is one space-separated piece: an escaped
+    single spaces. Each element is one space-separated part: an escaped
     literal token, `(?:a|an)` for an article marker, or a lazy group of
     one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
     alignments leftmost slot first, shortest capture first.
@@ -160,23 +172,28 @@ class CompiledSchema(NamedTuple):
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
     checks: tuple[tuple[int, SlotSpec, int], ...]  # (slot, spec, base slot) per non-base slot
-    text_format: str                          # literal text, "{i}" per slot i, for str.format
+    pieces: tuple[str | int, ...]             # adjacent literal tokens read as one
     regex: re.Pattern[str]
     required: frozenset[str]
     rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
 
 
 def _compile_schema(schema: Schema) -> CompiledSchema:
+    pieces: list[str | int] = []
+    slot_index = itertools.count()
+    for is_slot, run in itertools.groupby(schema.tokens, lambda t: isinstance(t, SlotToken)):
+        if is_slot:
+            pieces.extend(next(slot_index) for _ in run)
+        else:
+            pieces.extend(p for p in ARTICLE_MARKER_RE.split("".join(t.text for t in run)) if p)
     parts: list[str] = []
     required: set[str] = set()
-    for token in schema.tokens:
-        if isinstance(token, SlotToken):
+    for piece in pieces:
+        if isinstance(piece, int):
             parts.append(_SLOT_PATTERN)
-            continue
-        pieces = ARTICLE_MARKER_RE.split(token.text)
-        for i, piece in enumerate(pieces):
-            if i:
-                parts.append(_ARTICLE_PATTERN)
+        elif piece in ARTICLE_MARKERS:
+            parts.append("(?:a|an)")
+        else:
             literals = normalize(piece)
             required.update(literals)
             parts.extend(re.escape(t) for t in literals)
@@ -189,16 +206,12 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
                       for i in ordinals))
         for gid, ordinals in schema.groups().items())
     base_of = {g.group_id: g.base_ordinal for g in groups}
-    slot_index = itertools.count()
-    text_format = "".join(
-        f"{{{next(slot_index)}}}" if isinstance(t, SlotToken)
-        else t.text.replace("{", "{{").replace("}", "}}") for t in schema.tokens)
     return CompiledSchema(
         specs=specs,
         groups=groups,
         checks=tuple((i, spec, base_of[spec.group_id]) for i, spec in enumerate(specs)
                      if i != base_of[spec.group_id]),
-        text_format=text_format,
+        pieces=tuple(pieces),
         regex=re.compile(" ".join(parts)),
         required=frozenset(required),
         rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
@@ -272,9 +285,11 @@ def parse_template(dsl: str) -> tuple[Token, ...]:
 
     Rejected templates raise TemplateError: stray or unclosed braces,
     unknown slot symbols, bad derivation flags, two slots with no
-    literal text between them, groups mixing symbols, and groups
-    without a bare base slot. The first error from the left wins, then
-    group conflicts, then missing bases.
+    literal text between them, groups mixing symbols, groups without a
+    bare base slot, and literal text glued onto a slot or article marker,
+    so that a one-word fill or the marker would not read back as a word
+    of its own. The first error from the left wins, then group
+    conflicts, then missing bases, then glued text.
     """
     parts: list[LiteralToken | _SlotFields] = []
     for m in _PIECE_RE.finditer(dsl):
@@ -300,6 +315,11 @@ def parse_template(dsl: str) -> tuple[Token, ...]:
     for gid in group_symbol:
         if not any(spec.is_base for spec in specs if spec.group_id == gid):
             raise TemplateError(MISSING_BASE, f"group {gid} has no bare base slot")
+    # With a word per slot and "a" per marker, spaces around them must not change the tokens.
+    words = ["x" if isinstance(t, SlotToken) else t.text for t in tokens]
+    if (normalize(ARTICLE_MARKER_RE.sub("a", "".join(words)))
+            != normalize(ARTICLE_MARKER_RE.sub(" a ", " ".join(words)))):
+        raise TemplateError(GLUED_SLOT, "a slot or article marker is glued to the text beside it")
     return tokens
 
 

@@ -191,6 +191,18 @@ def test_first_letter_is_capitalized():
     assert out.sentence == "Hell without hell."
 
 
+@pytest.mark.parametrize("class_id,sentence", [("10", "0 without 0."),
+                                               ("22n", "0 is not enough 0.")])
+def test_a_leading_digit_stays_and_nothing_after_it_is_capitalized(registry, class_id, sentence):
+    schema = next(s for s in registry if s.class_id == class_id)
+    assert generate(lex("0\tN\t\t\n"), schema).sentence == sentence
+
+
+def test_first_letter_after_leading_punctuation_is_capitalized():
+    out = generate(lex("hell\tN\t\t\n"), make_schema("u", '"{N}" without {N}.'))
+    assert out.sentence == '"Hell" without hell.'
+
+
 def test_derivation_chain_realizes_on_the_synonym():
     verbs = lex("hate\tV\tdetest\t\ndetest\tV\thate\t\n")
     schema = make_schema("30", "I {V} the {V':agent+pl}.")

@@ -1,19 +1,21 @@
 """Differential test: the regex template parser and its one group-numbering
 rule against the character scanner they replaced, which is kept here as
-the reference. The reference carries one intended change: a group id
+the reference. The reference carries two intended changes: a group id
 must be an ASCII digit (the scanner took any character `str.isdigit`
-accepts)."""
+accepts), and a template whose literal text glues onto a slot or an
+article marker is refused as `glued-slot` (the scanner accepted it)."""
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (Derivation, LiteralToken, PartOfSpeech, Relation, SlotSpec,
-                      SlotToken, TemplateError, parse_template, render_tokens)
-from antinomy.schema import (ADJACENT_SLOTS, BAD_DERIVATION_FLAG, GROUP_CONFLICT,
+                      SlotToken, TemplateError, normalize, parse_template, render_tokens)
+from antinomy.schema import (ADJACENT_SLOTS, BAD_DERIVATION_FLAG, GLUED_SLOT, GROUP_CONFLICT,
                              MISSING_BASE, UNBALANCED_BRACES, UNKNOWN_SYMBOL, Token)
 
 _FLAGS = {d.value: d for d in Derivation}
@@ -79,6 +81,26 @@ def reference_slot_body(body: str, at: int) -> RawSlot:
                 f"flag {step.value!r} does not apply to {category} at offset {at}")
         category = yields
     return RawSlot(tilde, symbol, prime, derivations, explicit_group)
+
+
+def reference_glued(tokens: list[Token]) -> bool:
+    """The second change: whether the skeleton, one word per slot and "a"
+    per article marker, tokenizes to anything but the literal text's
+    tokens with one token per slot and per marker in between."""
+    skeleton = ""
+    expected: list[str] = []
+    for t in tokens:
+        if isinstance(t, SlotToken):
+            skeleton += "x"
+            expected.append("x")
+            continue
+        chunks = re.split(r"[aA]\(n\)", t.text)
+        skeleton += "a".join(chunks)
+        for i, chunk in enumerate(chunks):
+            if i:
+                expected.append("a")
+            expected.extend(normalize(chunk))
+    return normalize(skeleton) != tuple(expected)
 
 
 def reference_parse(dsl: str) -> tuple[Token, ...]:
@@ -148,6 +170,8 @@ def reference_parse(dsl: str) -> tuple[Token, ...]:
     for gid, ok in has_base.items():
         if not ok:
             raise TemplateError(MISSING_BASE, f"group {gid} has no bare base slot")
+    if reference_glued(tokens):
+        raise TemplateError(GLUED_SLOT, "slot or article marker glued to its neighbours")
     return tuple(tokens)
 
 

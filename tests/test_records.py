@@ -42,7 +42,7 @@ RECORDS = [
     (LiteralToken("All is "), ("text",)),
     (SlotToken(_SPEC), ("spec",)),
     (_FORM.groups[0], ("group_id", "pos", "base_ordinal", "needs_antonym")),
-    (_FORM, ("specs", "groups", "checks", "text_format", "regex", "required", "rank_key")),
+    (_FORM, ("specs", "groups", "checks", "pieces", "regex", "required", "rank_key")),
 ]
 _IDS = [type(record).__name__ for record, _ in RECORDS]
 
@@ -111,3 +111,8 @@ def test_bases_are_pairs_in_the_schemas_group_order(demo_lexicon, registry):
         for binding in (sentence.binding, detection.binding):
             assert tuple(g for g, _ in binding.bases) == group_ids
         assert detection.binding.bases == sentence.binding.bases
+
+
+def test_binding_is_one_class_under_each_import_path():
+    from antinomy import generator, schema
+    assert Binding is generator.Binding is schema.Binding

@@ -102,11 +102,24 @@ def test_single_space_is_a_valid_separator():
     ("{~A} alone.", schema_mod.MISSING_BASE),
     ("{N'} of it.", schema_mod.MISSING_BASE),
     ("{V:ger} only.", schema_mod.MISSING_BASE),
+    ("{N}'s {~N}.", schema_mod.GLUED_SLOT),
+    ("{N}-{~N} now.", schema_mod.GLUED_SLOT),
+    ("x{N} and {~N}.", schema_mod.GLUED_SLOT),
+    ("It is a(n)x {N}.", schema_mod.GLUED_SLOT),
+    ("{N} is A(n){N'}.", schema_mod.GLUED_SLOT),
+    ("{~A} glued{A'}.", schema_mod.MISSING_BASE),
 ])
 def test_rejected_templates(dsl, kind):
     with pytest.raises(TemplateError) as err:
         parse_template(dsl)
     assert err.value.kind == kind
+
+
+# Punctuation beside a slot or marker, or a space, keeps each one a word.
+@pytest.mark.parametrize("dsl", ["{N}, {~N}.", "({N}) and {~N}!", "{N} - {~N}.",
+                                 "A(n) {~N} {N}.", "\"{N}\" is a(n) {N'}", "{N} 's {~N}."])
+def test_templates_that_keep_each_slot_a_word_parse(dsl):
+    parse_template(dsl)
 
 
 def test_later_bare_slot_is_not_the_base():
