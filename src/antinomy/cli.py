@@ -1,23 +1,26 @@
 """Command line front end: generate, detect, classes, lexicon validate.
 
 Exit codes: 0 success, 1 bad input (unreadable or non-UTF-8 input or
-lexicon, invalid lexicon, unknown class, bad override, bad flag), 2
-generation produced nothing because every schema was skipped. Stdout
-and stderr are written verbatim: the same bytes on a terminal and a pipe.
+lexicon, invalid lexicon, unknown class, bad override, bad flag) or a
+failed write to stdout, 2 generation produced nothing because every
+schema was skipped. Stdout and stderr are written verbatim: the same
+bytes on a terminal and a pipe.
 """
 from __future__ import annotations
 
-import json
+import errno
+import os
 import sys
 from contextlib import contextmanager
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, TextIO
 
 import click
 
-from .detector import scan_corpus
-from .generator import BadOverrideError, Binding, generate_batch
+from .detector import Detection, EvidenceKind, scan_corpus
+from .generator import BadOverrideError, Binding, GeneratedSentence, generate_batch
 from .lexicon import Lexicon, ValidationReport, parse_lexicon
 from .schema import Schema, builtin_registry, render_template
 
@@ -47,10 +50,13 @@ class _Main(click.Group):
 
 
 def _read_text(path: str | None) -> str:
-    """The text of a UTF-8 file, or of stdin when path is None."""
+    """The text of a UTF-8 file, or of stdin when path is None. Stdin's
+    bytes are decoded strictly as UTF-8 whatever the locale says; its
+    line ends are left for `str.splitlines`, which breaks at CRLF and at
+    a lone CR as a file's universal newlines do."""
     try:
         if path is None:
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         _fail(f"error: {err}")
@@ -92,16 +98,30 @@ def _echo_lines(stream: TextIO, lines: Iterable[str]) -> None:
     the same on a terminal and on a pipe (click's echo strips terminal
     escapes from a pipe only), and one joined string for the whole
     output would hold all of it in memory at once. No lines write
-    nothing."""
-    batch: list[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) == _ECHO_BATCH:
+    nothing.
+
+    A failed write to stdout other than a broken pipe (which click ends
+    with exit 1) exits 1 with an error line. Stdout's descriptor is first
+    pointed at the null device, so the output still buffered is dropped
+    there and interpreter shutdown has nothing left to fail on."""
+    try:
+        batch: list[str] = []
+        for line in lines:
+            batch.append(line)
+            if len(batch) == _ECHO_BATCH:
+                stream.write("\n".join(batch) + "\n")
+                batch.clear()
+        if batch:
             stream.write("\n".join(batch) + "\n")
-            batch.clear()
-    if batch:
-        stream.write("\n".join(batch) + "\n")
-    stream.flush()
+        stream.flush()
+    except OSError as err:
+        if stream is not sys.stdout or err.errno == errno.EPIPE:
+            raise
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        stream.flush()
+        _fail(f"error: cannot write output: {err}")
 
 
 def _fail(*lines: str) -> NoReturn:
@@ -128,13 +148,33 @@ def _parse_overrides(slot_options: tuple[str, ...]) -> dict[int, str]:
     return overrides
 
 
-def _record(fields: dict[str, object], binding: Binding) -> str:
-    """One JSON line: `fields`, to which the binding is added last."""
-    fields["binding"] = {
-        "bases": {str(g): w for g, w in sorted(binding.bases)},
-        "realized": list(binding.realized),
-    }
-    return json.dumps(fields)
+# Output records are JSON lines written as `json.dumps` writes them with
+# its defaults: ", " and ": " separators, strings escaped to ASCII by the
+# same C escaper, ints and floats as their repr (scores lie in [0, 1]).
+
+
+def _binding(binding: Binding) -> str:
+    """A binding's JSON object: bases keyed by group id in ascending order,
+    then the realized slot fills."""
+    bases = ", ".join([f'"{g}": {_json_str(w)}' for g, w in sorted(binding.bases)])
+    realized = ", ".join(map(_json_str, binding.realized))
+    return f'{{"bases": {{{bases}}}, "realized": [{realized}]}}'
+
+
+def _generated_record(s: GeneratedSentence) -> str:
+    return (f'{{"class": {_json_str(s.class_id)}, "sentence": {_json_str(s.sentence)}, '
+            f'"seed": {s.seed!r}, "binding": {_binding(s.binding)}}}')
+
+
+_KIND_JSON = {kind: _json_str(kind.value) for kind in EvidenceKind}
+
+
+def _detection_record(d: Detection) -> str:
+    evidence = ", ".join([f'{{"slot": {e.slot!r}, "kind": {_KIND_JSON[e.kind]}}}'
+                          for e in d.evidence])
+    return (f'{{"line": {d.sentence_index!r}, "class": {_json_str(d.class_id)}, '
+            f'"score": {d.score!r}, "evidence": [{evidence}], '
+            f'"binding": {_binding(d.binding)}}}')
 
 
 @click.group(cls=_Main)
@@ -166,10 +206,8 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
     except BadOverrideError as err:
         _fail(f"error: {err}")
     _echo_lines(sys.stderr, (f"skipped: {skip.reason}" for skip in result.skips))
-    _echo_lines(sys.stdout, (
-        s.sentence if fmt == "text" else
-        _record({"class": s.class_id, "sentence": s.sentence, "seed": s.seed}, s.binding)
-        for s in result.sentences))
+    _echo_lines(sys.stdout, (s.sentence for s in result.sentences) if fmt == "text"
+                else map(_generated_record, result.sentences))
     if result.skips and not result.sentences:
         sys.exit(2)
 
@@ -196,11 +234,7 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
     detections, counts = scan_corpus(lexicon, registry, lines, min_score)
     _echo_lines(sys.stdout, (
         f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
-        if fmt == "text" else
-        _record({"line": d.sentence_index, "class": d.class_id, "score": d.score,
-                 "evidence": [{"slot": e.slot, "kind": e.kind.value} for e in d.evidence]},
-                d.binding)
-        for d in detections))
+        for d in detections) if fmt == "text" else map(_detection_record, detections))
     if stats:
         _echo_lines(sys.stderr, (f"{class_id}\t{n}" for class_id, n in counts.items()))
 

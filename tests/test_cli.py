@@ -427,6 +427,67 @@ def test_stderr_is_the_same_on_a_terminal_and_a_pipe(args):
     assert _output(args, on_terminal=True, stream="stderr") == piped
 
 
+def _run(args: list[str], stdin: bytes = b"", **env: str) -> subprocess.CompletedProcess:
+    """The CLI under the real interpreter, its stdin fed from `stdin`, its
+    stdout and stderr captured, `env` added to its environment."""
+    return subprocess.run([sys.executable, "-m", "antinomy.cli", *args], input=stdin,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": SRC, **env})
+
+
+@pytest.mark.parametrize("encoding", [None, "latin-1"])
+def test_non_utf8_stdin_exit_1_under_the_interpreter(encoding):
+    env = {"PYTHONIOENCODING": encoding} if encoding else {}
+    res = _run(["detect"], b"x \xff\n", **env)
+    assert res.returncode == 1
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: 'utf-8' codec can't decode")
+    assert b"Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
+def test_stdin_reads_as_the_same_file_would(encoding, tmp_path):
+    """Stdin is UTF-8 whatever PYTHONIOENCODING says, and its lines split
+    as a file's do: a leading BOM skipped, CRLF and a lone CR each one break."""
+    source = "\ufeffHell without hell.\r\nCaf\u00e9 without caf\u00e9.\rX.\r\n\nHell without hell."
+    path = tmp_path / "source.txt"
+    path.write_bytes(source.encode("utf-8"))
+    args = ["detect", "--min-score", "0"]          # JSONL is ASCII in any encoding
+    env = {"PYTHONIOENCODING": encoding} if encoding else {}
+    from_file = _run(args + ["--input", str(path)])
+    from_stdin = _run(args, source.encode("utf-8"), **env)
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_stdin.stdout == from_file.stdout
+    records = [json.loads(line) for line in from_stdin.stdout.splitlines()]
+    assert {"line": 1, "class": "10"}.items() <= records[1].items()
+    assert "\u00e9" in records[1]["binding"]["realized"][0]
+    assert {r["line"] for r in records} == {0, 1, 4}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", [
+    ["generate", "--class", "all", "--count", "2000"],   # fails on a batch write
+    ["classes"],                                          # fails on the closing flush
+])
+def test_failed_stdout_write_exit_1_without_traceback(args):
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run([sys.executable, "-m", "antinomy.cli", *args],
+                             stdin=subprocess.DEVNULL, stdout=full, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": SRC})
+    assert res.returncode == 1
+    assert res.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_broken_pipe_exit_1_silently():
+    command = [sys.executable, "-m", "antinomy.cli", "generate", "--class", "all", "--count", "2000"]
+    with subprocess.Popen(command, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC}) as proc:
+        assert proc.stdout.readline().startswith(b'{"class": "1"')
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
 def test_detect_echoes_escapes_verbatim():
     res = runner.invoke(main, ["detect", "--format", "text", "--min-score", "0"],
                         input=ESCAPED + "\n")
