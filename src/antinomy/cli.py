@@ -4,11 +4,13 @@ Exit codes: 0 success, 1 bad input (unreadable or non-UTF-8 input or
 lexicon, invalid lexicon, unknown class, bad override, bad flag) or a
 failed write to stdout, 2 generation produced nothing because every
 schema was skipped. Stdout and stderr are written verbatim: the same
-bytes on a terminal and a pipe.
+bytes on a terminal and a pipe, with characters their encoding cannot
+represent as backslash escapes.
 """
 from __future__ import annotations
 
 import errno
+import io
 import os
 import sys
 from contextlib import contextmanager
@@ -180,6 +182,10 @@ def _detection_record(d: Detection) -> str:
 @click.group(cls=_Main)
 def main() -> None:
     """Paradox and tautology sentences: generate them, detect them."""
+    # What stdout's encoding cannot represent is written as backslash
+    # escapes, as Python writes it to stderr, not raised as an error.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
 
 
 @main.command()

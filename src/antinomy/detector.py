@@ -68,7 +68,7 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
     relation = spec.relation
     words = ({base} if relation is Relation.IDENTITY
              else entry.antonyms if relation is Relation.ANTONYM
-             else entry.synonyms | {base})
+             else lexicon.synonyms(base, spec.symbol))
     if spec.derivations:
         derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in sorted(words))
         return EvidenceKind.SUFFIX_INVERSE if realized in derived else None

@@ -1,11 +1,11 @@
 """Sentence generation: fill schema slots from a lexicon, deterministically.
 
 All randomness flows through one SplitMix64 stream per sentence. Base
-word pools are filtered and sorted once per lexicon, and a draw happens
-exactly once per choice point, so equal (lexicon, schema, seed,
-overrides) always yields the identical sentence. Candidate filtering
-happens before sampling; a group with an empty pool raises
-NoCandidateError instead of rejection loops.
+word, antonym and synonym pools are filtered and sorted once per
+lexicon, and a draw happens exactly once per choice point, so equal
+(lexicon, schema, seed, overrides) always yields the identical
+sentence. Candidate filtering happens before sampling; a group with an
+empty pool raises NoCandidateError instead of rejection loops.
 """
 from __future__ import annotations
 
@@ -123,29 +123,27 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             raise NoCandidateError(schema.class_id, gid)
         bases[gid] = rng.choice(pool)
 
-    used_synonyms: dict[int, set[str]] = {gid: set() for gid in bases}
+    used_synonyms: dict[int, set[str]] = {}
     realized: list[str] = []
     for spec in form.specs:
         base = bases[spec.group_id]
         if spec.relation is Relation.IDENTITY:
             word = base
         elif spec.relation is Relation.ANTONYM:
-            antonyms = sorted(lexicon.antonyms(base, spec.symbol))
+            antonyms = lexicon.antonym_pool(base, spec.symbol)
             if antonyms:
                 word = rng.choice(antonyms)
             else:
                 # Candidate filtering leaves this branch to bare verb slots.
                 word = negated_infinitive(base)
         else:
-            synonyms = lexicon.synonyms(base, spec.symbol)
-            used = used_synonyms[spec.group_id]
-            for pool_set in (synonyms - used - {base}, synonyms - used, synonyms - {base}):
-                if pool_set:
-                    word = rng.choice(sorted(pool_set))
-                    break
-            else:
-                word = base
-            used_synonyms[spec.group_id].add(word)
+            synonyms = lexicon.synonym_pool(base, spec.symbol)
+            used = used_synonyms.setdefault(spec.group_id, set())
+            unused = [w for w in synonyms if w not in used]
+            pool = ([w for w in unused if w != base] or unused
+                    or [w for w in synonyms if w != base])
+            word = rng.choice(pool) if pool else base
+            used.add(word)
         realized.append(apply_derivations(word, spec.derivations))
 
     sentence = _capitalize_first(_render(form.pieces, realized))

@@ -24,6 +24,10 @@ class PartOfSpeech(Enum):
     VERB = "V"
     ATTRIBUTE = "A"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with == and spares every (surface, pos) key Enum's Python-level hash.
+    __hash__ = object.__hash__
+
 
 class LexEntry(NamedTuple):
     surface: str
@@ -105,7 +109,12 @@ class Lexicon:
                  report: ValidationReport | None = None):
         self._entries = dict(entries)
         self.report = report if report is not None else ValidationReport()
-        # The per-POS pools generation draws from, sorted once.
+        # Per entry, its synonyms with the word itself; then the pools
+        # generation draws from, per entry and per POS, sorted once.
+        self._synonyms = {key: e.synonyms | {key[0]} for key, e in self._entries.items()}
+        self._synonym_pools = {key: tuple(sorted(s)) for key, s in self._synonyms.items()}
+        self._antonym_pools = {key: tuple(sorted(e.antonyms))
+                               for key, e in self._entries.items()}
         self._words = {pos: tuple(sorted(s for (s, p) in self._entries if p is pos))
                        for pos in PartOfSpeech}
         self._antonym_words = {pos: tuple(w for w in words if self.antonyms(w, pos))
@@ -138,13 +147,19 @@ class Lexicon:
         """The surfaces of `words(pos)` that have at least one antonym, sorted."""
         return self._antonym_words[pos]
 
+    def synonym_pool(self, surface: str, pos: PartOfSpeech) -> tuple[str, ...]:
+        """`synonyms(surface, pos)` sorted: the word itself for an unknown word."""
+        surface = surface.lower()
+        return self._synonym_pools.get((surface, pos)) or (surface,)
+
+    def antonym_pool(self, surface: str, pos: PartOfSpeech) -> tuple[str, ...]:
+        """`antonyms(surface, pos)` sorted: empty for an unknown word."""
+        return self._antonym_pools.get((surface.lower(), pos), ())
+
     def synonyms(self, surface: str, pos: PartOfSpeech) -> frozenset[str]:
         """Synonym set of the word, always including the word itself."""
         surface = surface.lower()
-        e = self._entries.get((surface, pos))
-        if e is None:
-            return frozenset({surface})
-        return e.synonyms | {surface}
+        return self._synonyms.get((surface, pos)) or frozenset({surface})
 
     def antonyms(self, surface: str, pos: PartOfSpeech) -> frozenset[str]:
         """Antonym set of the word; empty for unknown words."""

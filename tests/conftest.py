@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from antinomy import Lexicon, builtin_registry, parse_lexicon
+from antinomy import LexEntry, Lexicon, PartOfSpeech, builtin_registry, parse_lexicon
 
 POS_LETTERS = ("N", "V", "A")
 
@@ -66,6 +66,27 @@ def random_lexicon_source(rng: random.Random) -> str:
         if rng.random() < 0.1:
             lines.append("")
     return "\n".join(lines) + "\n"
+
+
+def hand_built_entries(rng: random.Random,
+                       lexicon: Lexicon) -> dict[tuple[str, PartOfSpeech], LexEntry]:
+    """Entries for the `Lexicon` constructor: at times one under a key
+    that is not lower case ("Car", or a word of the lexicon capitalized),
+    which `parse_lexicon` never makes, and at times a copy of an entry
+    whose synonyms list its own surface."""
+    added = {}
+    if rng.random() < 0.4:
+        pos = rng.choice(list(PartOfSpeech))
+        words = lexicon.words(pos)
+        surface = rng.choice(words).capitalize() if words and rng.random() < 0.5 else "Car"
+        synonyms, antonyms = (frozenset(rng.sample(words, min(len(words), rng.randint(0, 2))))
+                              for _ in range(2))
+        added[(surface, pos)] = LexEntry(surface, pos, synonyms, antonyms)
+    entries = lexicon.entries()
+    if entries and rng.random() < 0.4:
+        e = rng.choice(entries)
+        added[(e.surface, e.pos)] = e._replace(synonyms=e.synonyms | {e.surface})
+    return added
 
 
 _LITERAL_WORDS = ("so", "very", "quite", "beyond", "of", "under", "their", "one")

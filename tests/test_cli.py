@@ -463,6 +463,23 @@ def test_stdin_reads_as_the_same_file_would(encoding, tmp_path):
     assert {r["line"] for r in records} == {0, 1, 4}
 
 
+@pytest.mark.parametrize("encoding, echoed", [
+    ("ascii", b"Caf\\xe9 without caf\\xe9."),
+    ("latin-1", b"Caf\xe9 without caf\xe9."),
+    ("utf-8", b"Caf\xc3\xa9 without caf\xc3\xa9."),
+], ids=["ascii", "latin-1", "utf-8"])
+def test_stdout_writes_what_its_encoding_cannot_represent_as_escapes(encoding, echoed,
+                                                                     tmp_path):
+    """As on stderr: a character stdout's encoding lacks is a backslash
+    escape, not a UnicodeEncodeError traceback."""
+    path = tmp_path / "source.txt"
+    path.write_bytes("Caf\u00e9 without caf\u00e9.\n".encode("utf-8"))
+    res = _run(["detect", "--format", "text", "--min-score", "0", "--input", str(path)],
+               PYTHONIOENCODING=encoding)
+    assert (res.returncode, res.stderr) == (0, b"")
+    assert res.stdout == b"0\t10\t0.000\t" + echoed + b"\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("args", [
     ["generate", "--class", "all", "--count", "2000"],   # fails on a batch write

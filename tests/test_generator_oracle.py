@@ -18,7 +18,8 @@ from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Le
                       parse_lexicon, parse_template, sub_seed)
 from antinomy.generator import _capitalize_first
 from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken
-from conftest import random_lexicon_source, random_template, with_article
+from conftest import (hand_built_entries, random_lexicon_source, random_template,
+                      with_article)
 
 
 def reference_fix_articles(text: str, rest: str) -> str:
@@ -106,25 +107,27 @@ def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
 def random_lexicon(rng: random.Random) -> Lexicon:
     """A parsed random lexicon; at times one part of speech loses every
-    antonym, so antonym groups of that POS have no candidate at all, and
-    at times a word holds an article marker."""
+    antonym, so antonym groups of that POS have no candidate at all, at
+    times a word holds an article marker, and at times it gains the
+    entries of `hand_built_entries`, where stored pools could drift from
+    the case folding and unions of `synonyms` and `antonyms`."""
     lines = random_lexicon_source(rng).splitlines()
     if rng.random() < 0.4:
         bare = rng.choice("NVA")
         lines = ["\t".join(f[:3] + [""]) if len(f) == 4 and f[1] == bare else line
                  for line, f in ((line, line.split("\t")) for line in lines)]
-    marked = None
-    if rng.random() < 0.3:
-        marked = (rng.choice(['a(n)', 'ba(n)d', 'a(n)-x']), PartOfSpeech(rng.choice('NVA')))
     lexicon = parse_lexicon("\n".join(lines) + "\n")
     assert isinstance(lexicon, Lexicon)
-    if marked is None:
+    # parse_lexicon lower-cases every key and refuses a word holding
+    # parentheses, so these entries enter through the constructor.
+    added = hand_built_entries(rng, lexicon)
+    if rng.random() < 0.3:
+        marked = (rng.choice(['a(n)', 'ba(n)d', 'a(n)-x']), PartOfSpeech(rng.choice('NVA')))
+        added[marked] = LexEntry(*marked, frozenset(), frozenset())
+    if not added:
         return lexicon
-    # parse_lexicon refuses a word holding parentheses, so it enters
-    # through the constructor.
     entries = {(e.surface, e.pos): e for e in lexicon.entries()}
-    entries[marked] = LexEntry(*marked, frozenset(), frozenset())
-    return Lexicon(entries, lexicon.report)
+    return Lexicon({**entries, **added}, lexicon.report)
 
 
 def random_overrides(rng: random.Random, lexicon: Lexicon, schema: Schema) -> dict[int, str]:

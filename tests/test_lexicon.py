@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from importlib import resources
 
@@ -7,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (DanglingReference, DuplicateEntry, GenerateError, Lexicon,
-                      MalformedLine, PartOfSpeech, SelfReferenceDropped, SymmetryRepair,
-                      ValidationReport, builtin_registry, classify, generate, normalize,
-                      parse_lexicon, serialize_lexicon)
+from antinomy import (DanglingReference, DuplicateEntry, GenerateError, LexEntry,
+                      Lexicon, MalformedLine, PartOfSpeech, SelfReferenceDropped,
+                      SymmetryRepair, ValidationReport, builtin_registry, classify,
+                      generate, normalize, parse_lexicon, serialize_lexicon)
 from antinomy.lexicon import POS_LETTERS
-from conftest import random_lexicon_source
+from conftest import hand_built_entries, random_lexicon_source
 
 A = PartOfSpeech.ATTRIBUTE
 N = PartOfSpeech.NOUN
@@ -47,6 +49,8 @@ def test_unknown_word_queries():
     assert lex.antonyms("gleeb", A) == frozenset()
     assert lex.synonyms("gleeb", A) == {"gleeb"}
     assert lex.entry("gleeb", A) is None
+    assert lex.antonym_pool("gleeb", A) == ()
+    assert lex.synonym_pool("Gleeb", A) == ("gleeb",)
 
 
 def test_synonyms_always_include_self():
@@ -164,6 +168,60 @@ def test_stored_word_tuples_match_the_entries(seed):
         assert lex.words(pos) == tuple(sorted(surfaces))
         assert lex.words_with_antonyms(pos) == tuple(
             w for w in sorted(surfaces) if lex.antonyms(w, pos))
+
+
+def reference_synonyms(lex: Lexicon, surface: str, pos: PartOfSpeech) -> frozenset[str]:
+    """`Lexicon.synonyms` as it was before the set was stored: the entry's
+    synonyms and the lower-cased surface, built on every call."""
+    surface = surface.lower()
+    e = lex.entry(surface, pos)
+    return frozenset({surface}) if e is None else e.synonyms | {surface}
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_stored_pools_are_the_sorted_relation_sets(seed):
+    """Over parsed and hand-built entries, known and unknown words and
+    upper-case queries, each pool is its relation set sorted."""
+    rng = random.Random(seed)
+    lex = parse_lexicon(random_lexicon_source(rng))
+    assert isinstance(lex, Lexicon)
+    entries = {(e.surface, e.pos): e for e in lex.entries()}
+    lex = Lexicon({**entries, **hand_built_entries(rng, lex)})
+    queries = {w for pos in PartOfSpeech for w in lex.words(pos)} | {"gleeb", "car"}
+    for word in sorted(queries | {w.upper() for w in queries}):
+        for pos in PartOfSpeech:
+            assert lex.antonym_pool(word, pos) == tuple(sorted(lex.antonyms(word, pos)))
+            assert lex.synonym_pool(word, pos) == tuple(sorted(lex.synonyms(word, pos)))
+            assert lex.synonyms(word, pos) == reference_synonyms(lex, word, pos)
+
+
+def test_pools_of_keys_that_are_not_lower_case_and_of_self_listed_synonyms():
+    car = LexEntry("Car", N, frozenset({"auto"}), frozenset({"bike"}))
+    auto = LexEntry("auto", N, frozenset({"auto", "car"}), frozenset())
+    lex = Lexicon({("Car", N): car, ("auto", N): auto})
+    # Lookups lower-case the query, so the key "Car" is never found.
+    assert lex.antonym_pool("Car", N) == () and lex.synonym_pool("Car", N) == ("car",)
+    assert lex.synonym_pool("AUTO", N) == ("auto", "car")
+    assert lex.synonyms("auto", N) == {"auto", "car"}
+
+
+def test_part_of_speech_hashes_by_identity():
+    lex = parse_lexicon("bank\tN\tshore\t\nshore\tN\t\t\nbank\tV\t\t\nbank\tA\t\t\n")
+    assert isinstance(lex, Lexicon)
+    # Keyed by the letter, so independent of how members hash.
+    by_letter = {(e.surface, e.pos.value): e for e in lex.entries()}
+    for pos in PartOfSpeech:
+        assert hash(pos) == object.__hash__(pos)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(pos, protocol)) is pos
+        assert copy.deepcopy(pos) is pos and copy.copy(pos) is pos
+        assert PartOfSpeech(pos.value) is pos
+        assert lex.entry("BANK", PartOfSpeech(pos.value)) == by_letter[("bank", pos.value)]
+        assert lex.entry("shore", pos) == by_letter.get(("shore", pos.value))
+    assert lex.words(PartOfSpeech("N")) == ("bank", "shore")
+    assert lex.synonym_pool("bank", PartOfSpeech("N")) == ("bank", "shore")
+    assert len(PartOfSpeech) == 3 and len({*PartOfSpeech, *PartOfSpeech}) == 3
 
 
 def test_serialize_round_trip():
