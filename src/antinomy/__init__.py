@@ -6,11 +6,11 @@ slots, plus a lexicon of synonym and antonym links. This package runs
 the mechanism both ways: `generate` fills templates from the lexicon,
 `classify` recovers a template and its word binding from a sentence.
 """
-from .detector import (Detection, Evidence, EvidenceKind, classify, match_schema,
-                       normalize, scan_corpus)
+from .detector import (Detection, Evidence, EvidenceKind, classify, iter_scan,
+                       match_schema, normalize, scan_corpus)
 from .generator import (BadOverrideError, BatchResult, Binding, GeneratedSentence,
                         GenerateError, NoCandidateError, SkippedSchema, generate,
-                        generate_batch)
+                        generate_batch, iter_batch)
 from .lexicon import (DanglingReference, DuplicateEntry, LexEntry, Lexicon,
                       MalformedLine, PartOfSpeech, SelfReferenceDropped,
                       SymmetryRepair, ValidationReport, parse_lexicon,
@@ -37,7 +37,8 @@ __all__ = [
     "ValidationReport", "agentive", "agentive_bases", "apply_derivations",
     "builtin_registry", "class_sort_key",
     "classify", "dump_catalog", "generate", "generate_batch",
-    "gerund", "gerund_bases", "indefinite_article", "load_catalog",
+    "gerund", "gerund_bases", "indefinite_article", "iter_batch", "iter_scan",
+    "load_catalog",
     "match_schema", "negated_infinitive", "normalize", "parse_lexicon",
     "parse_template", "plural_bases", "pluralize", "render_template",
     "render_tokens", "scan_corpus", "serialize_lexicon", "sub_seed",

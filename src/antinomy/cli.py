@@ -6,23 +6,39 @@ failed write to stdout, 2 generation produced nothing because every
 schema was skipped. Stdout and stderr are written verbatim: the same
 bytes on a terminal and a pipe, with characters their encoding cannot
 represent as backslash escapes.
+
+`generate` and `detect` stream: each sentence is made, or each input
+line read and classified, then encoded and written before the next, so
+their memory does not grow with `--count` or with the input. A `skipped:`
+line reaches stderr when its class does, and a decode error in `detect`
+input exits 1 after the records of the lines that ended before it.
 """
 from __future__ import annotations
 
+import codecs
 import errno
 import io
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from importlib import resources
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, TextIO
+from typing import BinaryIO, Iterable, Iterator, NoReturn, TextIO
 
 import click
 
-from .detector import Detection, EvidenceKind, scan_corpus
-from .generator import BadOverrideError, Binding, GeneratedSentence, generate_batch
+from .detector import Detection, EvidenceKind, iter_scan
+from .generator import (BadOverrideError, Binding, GeneratedSentence, SkippedSchema,
+                        iter_batch)
+# The commands stream through iter_batch and iter_scan. These two names stay
+# bound here because benchmarks/tracing.py wraps them by this module's name
+# (and its self-test requires every target to exist) until that list is
+# re-pointed at the streaming functions.
+from .detector import scan_corpus  # noqa: F401
+from .generator import generate_batch  # noqa: F401
 from .lexicon import Lexicon, ValidationReport, parse_lexicon
 from .schema import Schema, builtin_registry, render_template
 
@@ -51,17 +67,95 @@ class _Main(click.Group):
             return super().invoke(ctx)
 
 
-def _read_text(path: str | None) -> str:
-    """The text of a UTF-8 file, or of stdin when path is None. Stdin's
-    bytes are decoded strictly as UTF-8 whatever the locale says; its
-    line ends are left for `str.splitlines`, which breaks at CRLF and at
-    a lone CR as a file's universal newlines do."""
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; an unreadable or undecodable file exits 1."""
     try:
-        if path is None:
-            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         _fail(f"error: {err}")
+
+
+@contextmanager
+def _binary_input(path: str) -> Iterator[BinaryIO]:
+    """Stdin's bytes for "-", else the file's; a file that cannot be
+    opened exits 1. Stdin is read as bytes whatever the locale says."""
+    if path == "-":
+        yield sys.stdin.buffer
+        return
+    try:
+        stream = Path(path).open("rb")
+    except OSError as err:
+        _fail(f"error: {err}")
+    with stream:
+        yield stream
+
+
+_READ_CHUNK = 1 << 16
+# Where `str.splitlines` ends a line; "\r\n" is one break.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _decode_error(err: UnicodeDecodeError, offset: int) -> str:
+    """The message of `err`, raised on bytes that start at `offset` in the
+    input, worded as decoding the whole input at once words it."""
+    start, end = offset + err.start, offset + err.end
+    where = (f"byte 0x{err.object[err.start]:02x} in position {start}"
+             if err.end - err.start == 1 else f"bytes in position {start}-{end - 1}")
+    return f"'{err.encoding}' codec can't decode {where}: {err.reason}"
+
+
+class _InputLines:
+    """The lines of UTF-8 input that arrives as byte chunks, each given as
+    soon as it ends, split exactly as `str.splitlines` splits the whole
+    text after one leading BOM: a "\r\n" cut between two chunks is one
+    break. Bytes decode strictly. A decode or read error ends the lines
+    after the last one that ended before it and is kept in `error`,
+    worded as reading the whole input at once words it."""
+
+    def __init__(self, chunks: Iterable[bytes]):
+        self._chunks = chunks
+        self.error: str | None = None
+
+    def _texts(self) -> Iterator[str]:
+        """The decoded text, chunk by chunk; on a decode error, the text
+        before the bad byte last."""
+        pending, offset = b"", 0       # undecoded bytes, and where they start
+        try:
+            for chunk in chain(self._chunks, [None]):     # None: the end
+                data = pending + (chunk or b"")
+                try:
+                    text, used = codecs.utf_8_decode(data, "strict", chunk is None)
+                except UnicodeDecodeError as err:
+                    self.error = _decode_error(err, offset)
+                    yield data[:err.start].decode("utf-8")
+                    return
+                yield text
+                pending, offset = data[used:], offset + used
+        except OSError as err:
+            self.error = str(err)
+
+    def __iter__(self) -> Iterator[str]:
+        open_line: list[str] = []      # the text of the line not yet ended
+        after_cr = False               # the last break was "\r": a "\n" next joins it
+        at_start = True
+        for text in self._texts():
+            if at_start and text:
+                text, at_start = text.removeprefix("\ufeff"), False
+            if after_cr and text[:1] == "\n":
+                text, after_cr = text[1:], False
+            if not text:
+                continue
+            lines = text.splitlines()
+            ended = text[-1] in _LINE_BREAKS
+            after_cr = text[-1] == "\r"
+            if open_line and (ended or len(lines) > 1):
+                lines[0] = "".join(open_line) + lines[0]
+                open_line.clear()
+            if not ended:
+                open_line.append(lines.pop())
+            yield from lines
+        if open_line and self.error is None:
+            yield "".join(open_line)
 
 
 def _check_min_score(_ctx: click.Context, _param: click.Parameter, value: float) -> float:
@@ -94,28 +188,14 @@ def _pick_schemas(class_id: str) -> list[Schema]:
 _ECHO_BATCH = 64
 
 
-def _echo_lines(stream: TextIO, lines: Iterable[str]) -> None:
-    """Write each line with its newline to `stream`, verbatim, in batches
-    of up to _ECHO_BATCH lines, and flush once at the end. The bytes are
-    the same on a terminal and on a pipe (click's echo strips terminal
-    escapes from a pipe only), and one joined string for the whole
-    output would hold all of it in memory at once. No lines write
-    nothing.
-
-    A failed write to stdout other than a broken pipe (which click ends
+@contextmanager
+def _write_errors_exit_1(stream: TextIO) -> Iterator[None]:
+    """A failed write to stdout other than a broken pipe (which click ends
     with exit 1) exits 1 with an error line. Stdout's descriptor is first
     pointed at the null device, so the output still buffered is dropped
     there and interpreter shutdown has nothing left to fail on."""
     try:
-        batch: list[str] = []
-        for line in lines:
-            batch.append(line)
-            if len(batch) == _ECHO_BATCH:
-                stream.write("\n".join(batch) + "\n")
-                batch.clear()
-        if batch:
-            stream.write("\n".join(batch) + "\n")
-        stream.flush()
+        yield
     except OSError as err:
         if stream is not sys.stdout or err.errno == errno.EPIPE:
             raise
@@ -126,6 +206,26 @@ def _echo_lines(stream: TextIO, lines: Iterable[str]) -> None:
         _fail(f"error: cannot write output: {err}")
 
 
+def _echo_lines(stream: TextIO, lines: Iterable[str]) -> None:
+    """Write each line with its newline to `stream`, verbatim, in batches
+    of up to _ECHO_BATCH lines as `lines` yields them, and flush once at
+    the end. The bytes are the same on a terminal and on a pipe (click's
+    echo strips terminal escapes from a pipe only), and a generator's
+    lines are written while it runs, never all held at once. No lines
+    write nothing. An error raised by `lines` itself passes through."""
+    batch: list[str] = []
+    for line in lines:
+        batch.append(line)
+        if len(batch) == _ECHO_BATCH:
+            with _write_errors_exit_1(stream):
+                stream.write("\n".join(batch) + "\n")
+            batch.clear()
+    with _write_errors_exit_1(stream):
+        if batch:
+            stream.write("\n".join(batch) + "\n")
+        stream.flush()
+
+
 def _fail(*lines: str) -> NoReturn:
     """Write the lines to stderr and exit 1."""
     _echo_lines(sys.stderr, lines)
@@ -134,7 +234,7 @@ def _fail(*lines: str) -> NoReturn:
 
 def _parse_overrides(slot_options: tuple[str, ...]) -> dict[int, str]:
     """GROUP=WORD options as {group: word}. A malformed option or a group
-    given twice exits 1; generate_batch judges the words."""
+    given twice exits 1; iter_batch judges the words."""
     overrides: dict[int, str] = {}
     for option in slot_options:
         group_text, sep, word = option.partition("=")
@@ -208,13 +308,23 @@ def generate(lexicon_path: str | None, class_id: str, count: int, seed: int,
     schemas = _pick_schemas(class_id)
     overrides = _parse_overrides(slot_options)
     try:
-        result = generate_batch(lexicon, schemas, seed, count, overrides)
+        items = iter_batch(lexicon, schemas, seed, count, overrides)
     except BadOverrideError as err:
         _fail(f"error: {err}")
-    _echo_lines(sys.stderr, (f"skipped: {skip.reason}" for skip in result.skips))
-    _echo_lines(sys.stdout, (s.sentence for s in result.sentences) if fmt == "text"
-                else map(_generated_record, result.sentences))
-    if result.skips and not result.sentences:
+    produced = skipped = False
+
+    def output() -> Iterator[str]:
+        nonlocal produced, skipped
+        for item in items:
+            if isinstance(item, SkippedSchema):
+                skipped = True
+                _echo_lines(sys.stderr, [f"skipped: {item.reason}"])
+            else:
+                produced = True
+                yield item.sentence if fmt == "text" else _generated_record(item)
+
+    _echo_lines(sys.stdout, output())
+    if skipped and not produced:
         sys.exit(2)
 
 
@@ -235,12 +345,21 @@ def detect(lexicon_path: str | None, input_path: str, min_score: float,
     """Detect schema instances in text, one sentence per line."""
     lexicon = _load_lexicon(lexicon_path)
     registry = builtin_registry()
-    text = _read_text(None if input_path == "-" else input_path)
-    lines = text.removeprefix("\ufeff").splitlines()
-    detections, counts = scan_corpus(lexicon, registry, lines, min_score)
-    _echo_lines(sys.stdout, (
-        f"{d.sentence_index}\t{d.class_id}\t{d.score:.3f}\t{lines[d.sentence_index]}"
-        for d in detections) if fmt == "text" else map(_detection_record, detections))
+    counts = {schema.class_id: 0 for schema in registry}
+
+    def output(lines: Iterable[str]) -> Iterator[str]:
+        for index, line, kept in iter_scan(lexicon, registry, lines, min_score):
+            if kept:
+                counts[kept[0].class_id] += 1
+            for d in kept:
+                yield (f"{index}\t{d.class_id}\t{d.score:.3f}\t{line}" if fmt == "text"
+                       else _detection_record(d))
+
+    with _binary_input(input_path) as stream:
+        lines = _InputLines(iter(partial(stream.read, _READ_CHUNK), b""))
+        _echo_lines(sys.stdout, output(lines))
+    if lines.error is not None:
+        _fail(f"error: {lines.error}")
     if stats:
         _echo_lines(sys.stderr, (f"{class_id}\t{n}" for class_id, n in counts.items()))
 

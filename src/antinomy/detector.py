@@ -15,13 +15,16 @@ fallbacks follow a miss: NegInf for an antonym verb slot, SuffixInverse
 for a synonym slot. Each satisfied check records one evidence item.
 The skeleton decides whether a sentence has a schema's shape; the
 relations decide the score. An unknown base word leaves its relations
-checked but unsatisfied, so a skeleton-only match scores 0.
+checked but unsatisfied, so a skeleton-only match scores 0. A corpus is
+classified one line at a time by `iter_scan`, so a caller that writes
+each line's detections as they come holds one line at a time;
+`scan_corpus` collects them.
 """
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import (agentive_bases, apply_derivations, gerund_bases,
@@ -136,9 +139,19 @@ def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
     return [item[2] for item in ranked]
 
 
+def iter_scan(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[str],
+              min_score: float = 0.5) -> Iterator[tuple[int, str, list[Detection]]]:
+    """Classify each line as it is read: per line, `(index, line, kept)`,
+    where `kept` holds the line's detections scoring at or above
+    min_score, best first, and may be empty."""
+    for index, line in enumerate(lines):
+        yield index, line, [d for d in classify(lexicon, registry, line, sentence_index=index)
+                            if d.score >= min_score]
+
+
 def scan_corpus(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[str],
                 min_score: float = 0.5) -> tuple[list[Detection], dict[str, int]]:
-    """Classify each line; keep detections scoring at or above min_score.
+    """`iter_scan` collected: every kept detection, and a count table.
 
     The count table tallies each line's top kept detection only, so one
     line increments one class, and starts at zero for every registry
@@ -146,9 +159,7 @@ def scan_corpus(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[st
     """
     counts = {schema.class_id: 0 for schema in registry}
     detections: list[Detection] = []
-    for index, line in enumerate(lines):
-        kept = [d for d in classify(lexicon, registry, line, sentence_index=index)
-                if d.score >= min_score]
+    for _, _, kept in iter_scan(lexicon, registry, lines, min_score):
         detections.extend(kept)
         if kept:
             counts[kept[0].class_id] += 1

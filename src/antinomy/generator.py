@@ -5,11 +5,14 @@ word, antonym and synonym pools are filtered and sorted once per
 lexicon, and a draw happens exactly once per choice point, so equal
 (lexicon, schema, seed, overrides) always yields the identical
 sentence. Candidate filtering happens before sampling; a group with an
-empty pool raises NoCandidateError instead of rejection loops.
+empty pool raises NoCandidateError instead of rejection loops. A batch
+is made one item at a time by `iter_batch`, so a caller that writes each
+item as it comes holds one sentence at a time; `generate_batch` collects
+the same items into lists.
 """
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
@@ -180,26 +183,41 @@ def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],
     return per_schema
 
 
-def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
-                   count: int, overrides: Mapping[int, str] | None = None) -> BatchResult:
-    """Generate `count` sentences per schema.
+def iter_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int, count: int,
+               overrides: Mapping[int, str] | None = None
+               ) -> Iterator[GeneratedSentence | SkippedSchema]:
+    """Generate `count` sentences per schema, one at a time.
 
     Iteration is schema-major: item (schema i, repetition r) uses
     sub_seed(seed, i*count + r), so a skipped schema never shifts the
-    seeds of later items. A schema whose pool comes up empty is skipped
-    once and recorded. An override applies to each group whose candidate
-    pool holds its word; the other schemas draw as usual. An override no
-    selected group accepts raises BadOverrideError, also when count is 0.
+    seeds of later items. A schema whose pool comes up empty yields one
+    SkippedSchema in place of its remaining sentences. An override
+    applies to each group whose candidate pool holds its word; the other
+    schemas draw as usual. The overrides are judged by this call, before
+    the first item is made: one that no selected group accepts raises
+    BadOverrideError here, also when count is 0.
     """
-    sentences: list[GeneratedSentence] = []
-    skips: list[SkippedSchema] = []
     per_schema = _overrides_per_schema(lexicon, schemas, overrides or {})
+    return _batch_items(lexicon, schemas, per_schema, seed, count)
+
+
+def _batch_items(lexicon: Lexicon, schemas: Sequence[Schema],
+                 per_schema: Sequence[Mapping[int, str]], seed: int,
+                 count: int) -> Iterator[GeneratedSentence | SkippedSchema]:
     for i, (schema, schema_overrides) in enumerate(zip(schemas, per_schema)):
         for rep in range(count):
-            item_seed = sub_seed(seed, i * count + rep)
             try:
-                sentences.append(generate(lexicon, schema, item_seed, schema_overrides))
+                sentence = generate(lexicon, schema, sub_seed(seed, i * count + rep),
+                                    schema_overrides)
             except NoCandidateError as err:
-                skips.append(SkippedSchema(schema.class_id, str(err)))
+                yield SkippedSchema(schema.class_id, str(err))
                 break
-    return BatchResult(tuple(sentences), tuple(skips))
+            yield sentence
+
+
+def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
+                   count: int, overrides: Mapping[int, str] | None = None) -> BatchResult:
+    """`iter_batch` collected: its sentences and its skips, each in order."""
+    items = list(iter_batch(lexicon, schemas, seed, count, overrides))
+    return BatchResult(tuple(s for s in items if isinstance(s, GeneratedSentence)),
+                       tuple(s for s in items if isinstance(s, SkippedSchema)))

@@ -103,11 +103,16 @@ class ValidationReport(NamedTuple):
 
 
 class Lexicon:
-    """Immutable word store keyed by (surface, pos). Lookups are case-insensitive."""
+    """Immutable word store keyed by (surface, pos). Lookups are case-insensitive:
+    they lower-case the word, so a key whose surface is not lower case, which
+    no lookup could find, raises ValueError."""
 
     def __init__(self, entries: Mapping[tuple[str, PartOfSpeech], LexEntry],
                  report: ValidationReport | None = None):
         self._entries = dict(entries)
+        for surface, pos in self._entries:
+            if surface != surface.lower():
+                raise ValueError(f"lexicon key {surface!r}/{pos.value} is not lower case")
         self.report = report if report is not None else ValidationReport()
         # Per entry, its synonyms with the word itself; then the pools
         # generation draws from, per entry and per POS, sorted once.

@@ -70,18 +70,16 @@ def random_lexicon_source(rng: random.Random) -> str:
 
 def hand_built_entries(rng: random.Random,
                        lexicon: Lexicon) -> dict[tuple[str, PartOfSpeech], LexEntry]:
-    """Entries for the `Lexicon` constructor: at times one under a key
-    that is not lower case ("Car", or a word of the lexicon capitalized),
-    which `parse_lexicon` never makes, and at times a copy of an entry
-    whose synonyms list its own surface."""
+    """Entries for the `Lexicon` constructor that `parse_lexicon` never
+    makes: at times "car" with antonyms that do not list it back, and at
+    times a copy of an entry whose synonyms list its own surface."""
     added = {}
     if rng.random() < 0.4:
         pos = rng.choice(list(PartOfSpeech))
-        words = lexicon.words(pos)
-        surface = rng.choice(words).capitalize() if words and rng.random() < 0.5 else "Car"
+        words = [w for w in lexicon.words(pos) if w != "car"]
         synonyms, antonyms = (frozenset(rng.sample(words, min(len(words), rng.randint(0, 2))))
                               for _ in range(2))
-        added[(surface, pos)] = LexEntry(surface, pos, synonyms, antonyms)
+        added[("car", pos)] = LexEntry("car", pos, synonyms, antonyms)
     entries = lexicon.entries()
     if entries and rng.random() < 0.4:
         e = rng.choice(entries)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pty
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -374,6 +376,21 @@ def test_echo_lines_batches_records(n):
     assert len(calls) == -(-n // 64)
 
 
+def test_echo_lines_lets_an_error_of_its_source_pass_through(monkeypatch):
+    """Only a failed write is reported as one: an OSError raised by the
+    lines themselves (a failed read of detect input) is not."""
+    calls = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=calls.append, flush=lambda: None))
+
+    def lines():
+        yield "record"
+        raise OSError(errno.EIO, "Input/output error")
+
+    with pytest.raises(OSError, match="Input/output error"):
+        _echo_lines(sys.stdout, lines())
+    assert calls == []
+
+
 SRC = str(Path(antinomy.__file__).resolve().parents[1])
 ESCAPED = "\x1b[1mX without \x1b[1mX."
 
@@ -444,6 +461,34 @@ def test_non_utf8_stdin_exit_1_under_the_interpreter(encoding):
     assert b"Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_decode_error_deep_in_the_input_exits_1_after_the_lines_before_it(where, source,
+                                                                           tmp_path):
+    """The error names the bad byte's position in the whole input, and
+    stdout holds the records of exactly the lines that end before it."""
+    lines = runner.invoke(main, ["generate", "--class", "all", "--count", "150",
+                                 "--format", "text"]).stdout.splitlines(keepends=True)
+    data = "".join(lines).encode("utf-8")
+    assert len(data) > 2 * 65536
+    cut = 65536 + 7 + int(where * (len(data) - 65536 - 8))
+    bad = data[:cut] + b"\xff" + data[cut:]
+    ended = data[:data.rindex(b"\n", 0, cut) + 1]
+    args = ["detect", "--min-score", "0", "--stats"]
+    if source == "file":
+        path = tmp_path / "bad.txt"
+        path.write_bytes(bad)
+        res = _run(args + ["--input", str(path)])
+    else:
+        res = _run(args, bad)
+    assert res.returncode == 1
+    assert res.stderr == (f"error: 'utf-8' codec can't decode byte 0xff in position {cut}: "
+                          f"invalid start byte\n").encode()
+    before = _run(["detect", "--min-score", "0"], ended)
+    assert before.returncode == 0 and before.stdout.count(b"\n") > 1000
+    assert res.stdout == before.stdout
+
+
 @pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
 def test_stdin_reads_as_the_same_file_would(encoding, tmp_path):
     """Stdin is UTF-8 whatever PYTHONIOENCODING says, and its lines split
@@ -503,6 +548,28 @@ def test_broken_pipe_exit_1_silently():
         stderr = proc.stderr.read()
     assert proc.returncode == 1
     assert stderr == b""
+
+
+def test_generate_stops_at_once_when_its_reader_leaves():
+    """Lines are written as they are made, so a reader that takes one line
+    of a million-sentence batch and closes the pipe ends the run at the
+    next write: exit 1, nothing on stderr."""
+    command = [sys.executable, "-m", "antinomy.cli", "generate", "--class", "all",
+               "--count", "1000000"]
+    with subprocess.Popen(command, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC}) as proc:
+        assert proc.stdout.readline().startswith(b'{"class": "1"')
+        proc.stdout.close()
+        closed = time.perf_counter()
+        try:
+            proc.wait(timeout=30)
+        finally:
+            proc.kill()
+        ended = time.perf_counter() - closed
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == b""
+    assert ended < 1.0
 
 
 def test_detect_echoes_escapes_verbatim():

@@ -196,14 +196,23 @@ def test_stored_pools_are_the_sorted_relation_sets(seed):
             assert lex.synonyms(word, pos) == reference_synonyms(lex, word, pos)
 
 
-def test_pools_of_keys_that_are_not_lower_case_and_of_self_listed_synonyms():
-    car = LexEntry("Car", N, frozenset({"auto"}), frozenset({"bike"}))
+@pytest.mark.parametrize("surface", ["Car", "CAR", "cAr", "\u0130"])
+def test_constructor_refuses_a_key_that_is_not_lower_case(surface):
+    # Lookups lower-case the query, so no lookup could find such a key,
+    # yet words() would list it and generate would draw it.
+    car = LexEntry(surface, N, frozenset(), frozenset())
+    auto = LexEntry("auto", N, frozenset(), frozenset())
+    with pytest.raises(ValueError, match=f"lexicon key {surface!r}/N is not lower case"):
+        Lexicon({("auto", N): auto, (surface, N): car})
+
+
+def test_pools_of_self_listed_synonyms():
     auto = LexEntry("auto", N, frozenset({"auto", "car"}), frozenset())
-    lex = Lexicon({("Car", N): car, ("auto", N): auto})
-    # Lookups lower-case the query, so the key "Car" is never found.
-    assert lex.antonym_pool("Car", N) == () and lex.synonym_pool("Car", N) == ("car",)
+    car = LexEntry("car", N, frozenset({"auto"}), frozenset())
+    lex = Lexicon({("car", N): car, ("auto", N): auto})
     assert lex.synonym_pool("AUTO", N) == ("auto", "car")
     assert lex.synonyms("auto", N) == {"auto", "car"}
+    assert lex.synonym_pool("Car", N) == ("auto", "car")
 
 
 def test_part_of_speech_hashes_by_identity():
