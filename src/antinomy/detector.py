@@ -9,10 +9,11 @@ literal tokens are not all among the sentence's tokens cannot align, so
 it is not tried; this saves time and changes no result. Phase two
 walks the schema's compiled checks, one (slot, spec, base slot) per
 non-base slot, and audits each by one rule: the realized word must be
-in the relation's word set (the base, its antonyms, or its synonyms and
-the base), or for a derived slot be a set word's derived form. Two
-fallbacks follow a miss: NegInf for an antonym verb slot, SuffixInverse
-for a synonym slot. Each satisfied check records one evidence item.
+in the relation's word set (the base, or the lexicon's sorted pool of
+its antonyms, or of its synonyms and the base), or for a derived slot be
+a set word's derived form. Two fallbacks follow a miss: NegInf for an
+antonym verb slot, SuffixInverse for a synonym slot. Each satisfied
+check records one evidence item.
 The skeleton decides whether a sentence has a schema's shape; the
 relations decide the score. An unknown base word leaves its relations
 checked but unsatisfied, so a skeleton-only match scores 0. A corpus is
@@ -61,19 +62,19 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
     `base` and `realized` are captures as reported, tokens joined by
     hyphens; `base_text` and `text` are captures as matched, joined by
     spaces. The realized word must be in the relation's word set, or for
-    a derived slot be a set word's derived form, tried in sorted word
-    order so the calls made do not depend on string hashing. Otherwise
-    an antonym verb slot accepts the base verb's negated infinitive (NegInf),
+    a derived slot be a set word's derived form. The sets are the base
+    itself and the lexicon's sorted pools, so derived forms are tried in
+    an order that does not depend on string hashing. Otherwise an
+    antonym verb slot accepts the base verb's negated infinitive (NegInf),
     and a synonym slot a suffixed form of a set word (SuffixInverse)."""
-    entry = lexicon.entry(base, spec.symbol)
-    if entry is None:
+    if lexicon.entry(base, spec.symbol) is None:
         return None
     relation = spec.relation
-    words = ({base} if relation is Relation.IDENTITY
-             else entry.antonyms if relation is Relation.ANTONYM
-             else lexicon.synonyms(base, spec.symbol))
+    words = ((base,) if relation is Relation.IDENTITY
+             else lexicon.antonym_pool(base, spec.symbol) if relation is Relation.ANTONYM
+             else lexicon.synonym_pool(base, spec.symbol))
     if spec.derivations:
-        derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in sorted(words))
+        derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in words)
         return EvidenceKind.SUFFIX_INVERSE if realized in derived else None
     if realized in words:
         return (EvidenceKind.IDENTITY_REPEAT if relation is Relation.IDENTITY
@@ -84,7 +85,7 @@ def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
         return EvidenceKind.NEG_INF if negated else None
     if relation is Relation.SYNONYM:
         stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
-        return EvidenceKind.SUFFIX_INVERSE if stripped & words else None
+        return None if stripped.isdisjoint(words) else EvidenceKind.SUFFIX_INVERSE
     return None
 
 

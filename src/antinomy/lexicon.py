@@ -1,10 +1,15 @@
 """Tab-separated synonym/antonym lexicon: parsing, validation, repair.
 
 One entry per line: ``surface<TAB>pos<TAB>synonyms<TAB>antonyms`` with
-comma-separated word lists. `#` lines and blank lines are skipped.
-Antonymy is kept symmetric by construction: a one-directional antonym
-pair is repaired (the reverse direction is added) and the repair is
-reported. Synonym lists stay directed, as thesaurus sources have them.
+comma-separated word lists. `#` lines and blank lines are skipped; a
+line ends at "\n", "\r\n" or "\r" only. Antonymy is kept symmetric by
+construction: a one-directional antonym pair is repaired (the reverse
+direction is added) and the repair is reported. Synonym lists stay
+directed, as thesaurus sources have them.
+
+A `Lexicon` keeps each entry as given, plus each relation once in the
+form both directions read: a sorted pool per entry, which generation
+draws from and detection checks against.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ POS_LETTERS = ("N", "V", "A")
 # A word is one token of `schema.normalize`, so `detect` binds what `generate` prints.
 WORD_PATTERN = r"[a-z0-9]+(?:['\-][a-z0-9]+)*"
 _WORD_RE = re.compile(WORD_PATTERN)
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 class PartOfSpeech(Enum):
@@ -105,24 +111,28 @@ class ValidationReport(NamedTuple):
 class Lexicon:
     """Immutable word store keyed by (surface, pos). Lookups are case-insensitive:
     they lower-case the word, so a key whose surface is not lower case, which
-    no lookup could find, raises ValueError."""
+    no lookup could find, raises ValueError, as does a key holding an entry
+    of another surface or pos, which would not serialize to a valid file."""
 
     def __init__(self, entries: Mapping[tuple[str, PartOfSpeech], LexEntry],
                  report: ValidationReport | None = None):
         self._entries = dict(entries)
-        for surface, pos in self._entries:
+        for (surface, pos), e in self._entries.items():
             if surface != surface.lower():
                 raise ValueError(f"lexicon key {surface!r}/{pos.value} is not lower case")
+            if (e.surface, e.pos) != (surface, pos):
+                raise ValueError(f"lexicon key {surface!r}/{pos.value} holds the entry "
+                                 f"{e.surface!r}/{e.pos.value}")
         self.report = report if report is not None else ValidationReport()
-        # Per entry, its synonyms with the word itself; then the pools
-        # generation draws from, per entry and per POS, sorted once.
-        self._synonyms = {key: e.synonyms | {key[0]} for key, e in self._entries.items()}
-        self._synonym_pools = {key: tuple(sorted(s)) for key, s in self._synonyms.items()}
+        # Beside each entry, one sorted pool per relation (the synonyms with
+        # the word itself); then the base-word pools per POS.
+        self._synonym_pools = {key: tuple(sorted(e.synonyms | {e.surface}))
+                               for key, e in self._entries.items()}
         self._antonym_pools = {key: tuple(sorted(e.antonyms))
                                for key, e in self._entries.items()}
         self._words = {pos: tuple(sorted(s for (s, p) in self._entries if p is pos))
                        for pos in PartOfSpeech}
-        self._antonym_words = {pos: tuple(w for w in words if self.antonyms(w, pos))
+        self._antonym_words = {pos: tuple(w for w in words if self._antonym_pools[(w, pos)])
                                for pos, words in self._words.items()}
 
     @classmethod
@@ -163,8 +173,7 @@ class Lexicon:
 
     def synonyms(self, surface: str, pos: PartOfSpeech) -> frozenset[str]:
         """Synonym set of the word, always including the word itself."""
-        surface = surface.lower()
-        return self._synonyms.get((surface, pos)) or frozenset({surface})
+        return frozenset(self.synonym_pool(surface, pos))
 
     def antonyms(self, surface: str, pos: PartOfSpeech) -> frozenset[str]:
         """Antonym set of the word; empty for unknown words."""
@@ -184,8 +193,9 @@ def _split_words(field_text: str) -> list[str]:
 
 def _data_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tab-split fields) per line after one leading BOM; blank and
-    `#` lines skipped."""
-    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    `#` lines skipped. A line ends at "\n", "\r\n" or "\r" only; any other
+    break of `str.splitlines`, such as a form feed or U+2028, stays inside it."""
+    for line_no, line in enumerate(_LINE_END_RE.split(text.removeprefix("\ufeff")), start=1):
         if line.strip() and not line.lstrip().startswith("#"):
             yield line_no, line.split("\t")
 

@@ -1,10 +1,12 @@
 """Rule-based English surface forms for slot fills.
 
-Small closed rule set, no exception dictionaries. The plural, agentive
-and gerund rules each have an inverse candidate generator used by
-detection: one routine undoes the rule's suffixes and keeps the
-candidates that re-applying the forward rule maps back, so the two
-directions cannot drift.
+Small closed rule set, no exception dictionaries. DERIVATION_RULES is
+the one table of the template flags: each flag's rule, the slot symbol
+it applies to and the one it yields, read by `apply_derivations` and by
+the template parser. The plural, agentive and gerund rules each have an
+inverse candidate generator used by detection: one routine undoes the
+rule's suffixes and keeps the candidates that re-applying the forward
+rule maps back, so the two directions cannot drift.
 """
 from __future__ import annotations
 
@@ -80,17 +82,20 @@ def negated_infinitive(verb: str) -> str:
     return "not to " + verb
 
 
+# flag -> (its rule, the slot symbol it applies to, the symbol it yields);
+# "P", a phrase, takes no further flag.
+DERIVATION_RULES: dict[Derivation, tuple[Callable[[str], str], str, str]] = {
+    Derivation.AGENTIVE: (agentive, "V", "N"),
+    Derivation.GERUND: (gerund, "V", "N"),
+    Derivation.PLURAL: (pluralize, "N", "N"),
+    Derivation.NEGATED_INFINITIVE: (negated_infinitive, "V", "P"),
+}
+
+
 def apply_derivations(word: str, derivations: tuple[Derivation, ...]) -> str:
     """Apply a derivation chain left to right."""
     for step in derivations:
-        if step is Derivation.AGENTIVE:
-            word = agentive(word)
-        elif step is Derivation.GERUND:
-            word = gerund(word)
-        elif step is Derivation.PLURAL:
-            word = pluralize(word)
-        else:
-            word = negated_infinitive(word)
+        word = DERIVATION_RULES[step][0](word)
     return word
 
 

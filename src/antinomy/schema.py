@@ -14,6 +14,8 @@ Slots without #d group implicitly: all unmarked slots of one symbol share
 a group, numbered from the smallest id not claimed explicitly, in order
 of first appearance. Every group needs one bare base slot (no ~, no
 primes, no flags); the first such slot carries the group's base word.
+A Schema built from tokens with a group lacking one raises the parser's
+TemplateError when it is first compiled.
 
 The literal text "a(n)" is an article marker: generation resolves it
 against the following word, detection accepts exactly one "a" or "an".
@@ -32,10 +34,10 @@ import re
 from importlib import resources
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .lexicon import WORD_PATTERN, PartOfSpeech, _data_rows
-from .morphology import Derivation
+from .morphology import DERIVATION_RULES, Derivation
 
 ARTICLE_MARKER_RE = re.compile(r"([Aa]\(n\))")     # the group keeps markers in a split
 ARTICLE_MARKERS = ("a(n)", "A(n)")
@@ -115,17 +117,22 @@ class Schema:
         return {g: tuple(ix) for g, ix in out.items()}
 
     def base_ordinal(self, group_id: int) -> int:
-        """Ordinal of the group's base slot (first bare slot of the group)."""
-        for i, spec in enumerate(self.slot_specs()):
-            if spec.group_id == group_id and spec.is_base:
-                return i
-        raise KeyError(group_id)
+        """Ordinal of the group's base slot; TemplateError when it has none."""
+        return _base_ordinal(self.slot_specs(), group_id)
 
     @functools.cached_property
     def compiled(self) -> CompiledSchema:
         """The schema's compiled form, built on first use and kept on the
         instance, so a lookup never hashes the schema's token tree."""
         return _compile_schema(self)
+
+
+def _base_ordinal(specs: Sequence[SlotSpec], group_id: int) -> int:
+    """Ordinal of the group's base slot, its first bare slot."""
+    for i, spec in enumerate(specs):
+        if spec.group_id == group_id and spec.is_base:
+            return i
+    raise TemplateError(MISSING_BASE, f"group {group_id} has no bare base slot")
 
 
 def normalize(sentence: str) -> tuple[str, ...]:
@@ -221,14 +228,6 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
 _FLAGS = {d.value: d for d in Derivation}
 _GROUP_IDS = {str(d): d for d in range(10)}
 
-# flag -> (category it applies to, category it yields); "P" is terminal.
-_TRANSITIONS = {
-    Derivation.AGENTIVE: ("V", "N"),
-    Derivation.GERUND: ("V", "N"),
-    Derivation.PLURAL: ("N", "N"),
-    Derivation.NEGATED_INFINITIVE: ("V", "P"),
-}
-
 # A template is a run of slots, literal text and stray braces.
 _PIECE_RE = re.compile(r"\{([^{}]*)\}|[{}]|[^{}]+")
 # The slot grammar above. Flags and the group id are matched loosely and
@@ -254,7 +253,7 @@ def _read_slot(body: str, at: int) -> _SlotFields:
     derivations = tuple(_FLAGS[name] for name in names)
     category = symbol
     for step in derivations:
-        needs, yields = _TRANSITIONS[step]
+        _, needs, yields = DERIVATION_RULES[step]
         if category != needs:
             raise TemplateError(
                 BAD_DERIVATION_FLAG,
@@ -313,8 +312,7 @@ def parse_template(dsl: str) -> tuple[Token, ...]:
         if group_symbol.setdefault(spec.group_id, spec.symbol) is not spec.symbol:
             raise TemplateError(GROUP_CONFLICT, f"group {spec.group_id} mixes slot symbols")
     for gid in group_symbol:
-        if not any(spec.is_base for spec in specs if spec.group_id == gid):
-            raise TemplateError(MISSING_BASE, f"group {gid} has no bare base slot")
+        _base_ordinal(specs, gid)
     # With a word per slot and "a" per marker, spaces around them must not change the tokens.
     words = ["x" if isinstance(t, SlotToken) else t.text for t in tokens]
     if (normalize(ARTICLE_MARKER_RE.sub("a", "".join(words)))
@@ -388,7 +386,9 @@ def dump_catalog(schemas: tuple[Schema, ...]) -> str:
     it stands in the text; a schema whose tokens do not render, a row
     that does not read back to its schema (a tab or line break in a
     field, a row read as a comment, template text that parses to other
-    tokens), or a repeated class id raises ValueError naming the class."""
+    tokens), or a repeated class id raises ValueError naming the class.
+    A row ends at "\n", "\r\n" or "\r" only, so a field may hold any
+    other line break of `str.splitlines`, such as a form feed or U+2028."""
     rows: dict[str, str] = {}
     for s in schemas:
         try:

@@ -124,6 +124,25 @@ def test_comments_and_blanks_skipped():
     assert len(lex) == 1
 
 
+# Every break of str.splitlines that is not a universal newline.
+OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_a_line_ends_only_at_a_universal_newline(brk):
+    lex = parse_lexicon(f"# page{brk}break\ncar\tN\t\t\n")
+    assert isinstance(lex, Lexicon) and [e.surface for e in lex.entries()] == ["car"]
+    report = parse_lexicon(f"car\tN\t\tbi{brk}ke\nbike\tN\t\t\n")
+    assert isinstance(report, ValidationReport)
+    assert report.defects == (MalformedLine(1, f"bad word {'bi' + brk + 'ke'!r}"),)
+
+
+def test_lines_end_at_lf_crlf_and_cr():
+    report = parse_lexicon("# one\r\ncar\tN\t\t\rbike\tN\tcar\t\ntrain\tN\t\t\tx\n")
+    assert isinstance(report, ValidationReport)
+    assert str(report) == "line 4: malformed line (expected 4 tab-separated fields, got 5)"
+
+
 def test_empty_source_gives_empty_lexicon():
     lex = parse_lexicon("")
     assert isinstance(lex, Lexicon)
@@ -204,6 +223,16 @@ def test_constructor_refuses_a_key_that_is_not_lower_case(surface):
     auto = LexEntry("auto", N, frozenset(), frozenset())
     with pytest.raises(ValueError, match=f"lexicon key {surface!r}/N is not lower case"):
         Lexicon({("auto", N): auto, (surface, N): car})
+
+
+def test_constructor_refuses_an_entry_filed_under_another_key():
+    # Such an entry would serialize to text that parse_lexicon rejects.
+    auto = LexEntry("auto", N, frozenset(), frozenset({"bike"}))
+    bike = LexEntry("bike", N, frozenset(), frozenset({"car"}))
+    with pytest.raises(ValueError, match="lexicon key 'car'/N holds the entry 'auto'/N"):
+        Lexicon({("car", N): auto, ("bike", N): bike})
+    with pytest.raises(ValueError, match="lexicon key 'bike'/V holds the entry 'bike'/N"):
+        Lexicon({("bike", V): bike})
 
 
 def test_pools_of_self_listed_synonyms():

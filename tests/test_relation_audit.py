@@ -19,7 +19,7 @@ from antinomy.generator import Binding
 from antinomy.morphology import (agentive_bases, apply_derivations, gerund_bases,
                                  plural_bases)
 from antinomy.schema import CompiledSchema, LiteralToken
-from conftest import random_lexicon_source, random_template
+from conftest import hand_built_entries, random_lexicon_source, random_template
 
 
 def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
@@ -104,6 +104,27 @@ def one_token_edit(rng: random.Random, tokens: list[str], words: list[str]) -> l
     return tokens
 
 
+def refilled_from_reference(rng: random.Random, lexicon: Lexicon, form: CompiledSchema,
+                            tokens: list[str]) -> list[str]:
+    """The tokens with one checked slot refilled from the word set that the
+    reference reads for its base, or unchanged when none is at hand, so
+    that a lexicon pool that drifts from its entry's set shows."""
+    match = form.regex.fullmatch(" ".join(tokens))
+    if match is None or not form.checks:
+        return tokens
+    slot, spec, base_slot = rng.choice(form.checks)
+    base = match.group(base_slot + 1).replace(" ", "-")
+    entry = lexicon.entry(base, spec.symbol)
+    words = (set() if entry is None else {base} if spec.relation is Relation.IDENTITY
+             else entry.antonyms if spec.relation is Relation.ANTONYM
+             else entry.synonyms | {base})
+    if not words:
+        return tokens
+    word = apply_derivations(rng.choice(sorted(words)), spec.derivations)
+    start, end = match.span(slot + 1)
+    return list(normalize(match.string[:start] + word + match.string[end:]))
+
+
 @settings(deadline=None, max_examples=250)
 @given(rng=st.randoms(use_true_random=False))
 def test_audit_matches_reference(rng, demo_lexicon, registry):
@@ -111,6 +132,11 @@ def test_audit_matches_reference(rng, demo_lexicon, registry):
         lexicon, schemas = demo_lexicon, rng.sample(registry, 6)
     else:
         lexicon = lex(random_lexicon_source(rng))
+        # One-way antonyms and self-listed synonyms, where a stored pool
+        # could drift from the entry's set that the reference reads.
+        added = hand_built_entries(rng, lexicon)
+        if added:
+            lexicon = Lexicon({**{(e.surface, e.pos): e for e in lexicon.entries()}, **added})
         schemas = [Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng))),
                    *rng.sample(registry, 2)]
     words = [w for pos in PartOfSpeech for w in lexicon.words(pos)] + ["not", "to", "gleeb"]
@@ -125,7 +151,8 @@ def test_audit_matches_reference(rng, demo_lexicon, registry):
                 break
             tokens = list(normalize(out.sentence))
             words += tokens
-            sentences += [tokens, one_token_edit(rng, tokens, words)]
+            sentences += [tokens, one_token_edit(rng, tokens, words),
+                          refilled_from_reference(rng, lexicon, schema.compiled, tokens)]
     for index, tokens in enumerate(sentences):
         text = " ".join(tokens)
         for schema in schemas:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from antinomy import (Derivation, LiteralToken, PartOfSpeech, Relation, Schema,
                       SchemaKind, SlotSpec, SlotToken, TemplateError,
-                      builtin_registry, class_sort_key, dump_catalog,
-                      load_catalog, parse_template, render_template,
+                      builtin_registry, class_sort_key, classify, dump_catalog,
+                      generate, load_catalog, parse_template, render_template,
                       render_tokens)
 from antinomy import schema as schema_mod
 from conftest import random_template
@@ -127,6 +127,21 @@ def test_later_bare_slot_is_not_the_base():
     assert sch.base_ordinal(0) == 0
 
 
+def test_hand_built_schema_without_a_base_slot_raises_the_parsers_error(demo_lexicon):
+    # Tokens of "{~N} without {N'}.", which parse_template refuses.
+    tokens = (SlotToken(SlotSpec(PartOfSpeech.NOUN, Relation.ANTONYM, 0, (), 0)),
+              LiteralToken(" without "),
+              SlotToken(SlotSpec(PartOfSpeech.NOUN, Relation.SYNONYM, 1, (), 0)),
+              LiteralToken("."))
+    uses = [lambda s: s.compiled, lambda s: s.base_ordinal(0),
+            lambda s: generate(demo_lexicon, s, seed=1),
+            lambda s: classify(demo_lexicon, [s], "Slavery without freedom.")]
+    for use in uses:
+        with pytest.raises(TemplateError, match="^group 0 has no bare base slot$") as err:
+            use(Schema("x", SchemaKind.PARADOX, tokens))
+        assert err.value.kind == schema_mod.MISSING_BASE
+
+
 def test_registry_has_36_unique_classes():
     registry = builtin_registry()
     assert len(registry) == 36
@@ -235,13 +250,31 @@ def test_catalog_rejects_duplicate_class_id():
 
 
 @pytest.mark.parametrize("class_id,label", [
-    ("u", "a\tb"), ("u", "a\nb"), ("u", "a\rb"), ("u", "a\x0bb"), ("u", "a\u2028b"),
+    ("u", "a\tb"), ("u", "a\nb"), ("u", "a\rb"),
     ("u", "trailing\r"), ("u\tv", ""), ("#u", ""), ("  #u", ""), ("u\n", ""),
 ])
 def test_dump_catalog_rejects_rows_that_do_not_read_back(class_id, label):
     schema = Schema(class_id, SchemaKind.PARADOX, parse_template("{N} without {N}."), label)
     with pytest.raises(ValueError, match=re.escape(f"class {class_id!r}")):
         dump_catalog((schema,))
+
+
+# A catalog row ends only at "\n", "\r\n" or "\r", so the other breaks
+# of str.splitlines stay inside a field.
+@pytest.mark.parametrize("class_id,label", [
+    ("u", "a\x0bb"), ("u", "a\u2028b"), ("u", "a\x0cb\x1c\x85\u2029c"),
+])
+def test_dump_catalog_reads_back_labels_holding_other_line_breaks(class_id, label):
+    schema = Schema(class_id, SchemaKind.PARADOX, parse_template("{N} without {N}."), label)
+    loaded = load_catalog(dump_catalog((schema,)))
+    assert loaded == (schema,) and loaded[0].label == label
+
+
+def test_catalog_rows_end_only_at_universal_newlines():
+    text = "# note\x85x\n1\tparadox\tAll is {A}, the {~A} too.\n"
+    assert [s.class_id for s in load_catalog(text)] == ["1"]
+    text = "1\tparadox\t{N} without {N}.\tone\x0ctwo\r\n# a\u2028b\r2\tparadox\t{~N} in {N}.\n"
+    assert [(s.class_id, s.label) for s in load_catalog(text)] == [("1", "one\x0ctwo"), ("2", "")]
 
 
 _WITHOUT = parse_template("{N} without {N}.")
@@ -274,8 +307,9 @@ def test_dump_catalog_rejects_tokens_that_do_not_read_back(tokens):
         dump_catalog((Schema("u", SchemaKind.PARADOX, tokens),))
 
 
-# Arbitrary text, or short text over the characters a catalog row
-# cannot carry, so that both outcomes are common.
+# Arbitrary text, or short text over characters that a catalog row
+# cannot carry in some places and can in others, so that both outcomes
+# are common.
 _FIELD_TEXT = (st.text(max_size=6)
                | st.text(st.sampled_from("#\t\n\r\x0b\x1c\x85\u2028 \ufeffa"), max_size=3))
 
