@@ -4,22 +4,44 @@ Matching is two-phase. Phase one aligns the whole normalized token
 sequence against the schema: literals must appear verbatim, slots
 capture one to three tokens, shortest capture first, leftmost binding
 wins. Only that first alignment is scored, even when another one would
-satisfy more relations (README detection rule 2). A schema whose
-literal tokens are not all among the sentence's tokens cannot align, so
-it is not tried; this saves time and changes no result. Phase two
-walks the schema's compiled checks, one (slot, spec, base slot) per
-non-base slot, and audits each by one rule: the realized word must be
-in the relation's word set (the base, or the lexicon's sorted pool of
-its antonyms, or of its synonyms and the base), or for a derived slot be
-a set word's derived form. Two fallbacks follow a miss: NegInf for an
+satisfy more relations (README detection rule 2). Phase two walks the
+schema's compiled checks, one (slot, spec, base slot) per non-base
+slot, and audits each by one rule: the realized word must be in the
+relation's word set (the base, or the lexicon's sorted pool of its
+antonyms, or of its synonyms and the base), or for a derived slot be a
+set word's derived form. Two fallbacks follow a miss: NegInf for an
 antonym verb slot, SuffixInverse for a synonym slot. Each satisfied
-check records one evidence item.
-The skeleton decides whether a sentence has a schema's shape; the
-relations decide the score. An unknown base word leaves its relations
-checked but unsatisfied, so a skeleton-only match scores 0. A corpus is
-classified one line at a time by `iter_scan`, so a caller that writes
-each line's detections as they come holds one line at a time;
-`scan_corpus` collects them.
+check records one evidence item. The skeleton decides whether a
+sentence has a schema's shape; the relations decide the score. An
+unknown base word leaves its relations checked but unsatisfied, so a
+skeleton-only match scores 0.
+
+Each line does only the work it needs; two things are worked out once
+instead:
+
+- Dispatch. A schema whose literal tokens are not all among the
+  sentence's tokens cannot align, so it is not tried. A registry's plan
+  indexes each schema under its rarest literal token, the one the fewest
+  of its schemas require, and one set intersection per line picks the
+  schemas to test in full; a schema with no literal token is always
+  tried. Schemas with one regex share it, so each regex runs at most
+  once per line. The plan of the last registry *tuple* classified is
+  kept until another tuple is classified; a list may change, so its
+  plan is built per call, and `match_schema` builds its own one-schema
+  plan without replacing the kept one.
+- Relations. The forms a check accepts against a known base, the set
+  words or for a derived slot their derived forms, each with its
+  evidence kind, form one table per (base, slot spec). It is built on
+  first use and kept on the lexicon for as long as the lexicon lives; a
+  check is then one lookup, and the two fallbacks run only on a miss. A
+  base the lexicon lacks gets no table, so input words cannot grow it.
+
+Ranking sorts on score, literal token count, class id and registry
+position, so the order in which schemas were tried never shows.
+
+A corpus is classified one line at a time by `iter_scan`, so a caller
+that writes each line's detections as they come holds one line at a
+time; `scan_corpus` collects them.
 """
 from __future__ import annotations
 
@@ -56,47 +78,59 @@ class Detection(NamedTuple):
     evidence: tuple[Evidence, ...]
 
 
-def _check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
-                    base_text: str, text: str) -> EvidenceKind | None:
-    """Evidence kind if the slot's relation to its base holds, else None.
-    `base` and `realized` are captures as reported, tokens joined by
-    hyphens; `base_text` and `text` are captures as matched, joined by
-    spaces. The realized word must be in the relation's word set, or for
-    a derived slot be a set word's derived form. The sets are the base
-    itself and the lexicon's sorted pools, so derived forms are tried in
-    an order that does not depend on string hashing. Otherwise an
-    antonym verb slot accepts the base verb's negated infinitive (NegInf),
-    and a synonym slot a suffixed form of a set word (SuffixInverse)."""
+def _accepted_forms(lexicon: Lexicon, base: str, spec: SlotSpec
+                    ) -> dict[str, EvidenceKind] | None:
+    """The slot's accepted forms for a known base, built once and kept on
+    the lexicon: each word of the relation's word set (the base, or its
+    sorted antonym pool, or its sorted synonym pool) with its own kind,
+    or for a derived slot each word's derived form, hyphen-joined, as
+    SuffixInverse. None for a base with no entry, which is not kept, so
+    input words cannot grow the memo."""
     if lexicon.entry(base, spec.symbol) is None:
         return None
-    relation = spec.relation
-    words = ((base,) if relation is Relation.IDENTITY
-             else lexicon.antonym_pool(base, spec.symbol) if relation is Relation.ANTONYM
-             else lexicon.synonym_pool(base, spec.symbol))
+    if spec.relation is Relation.IDENTITY:
+        words, kind = (base,), EvidenceKind.IDENTITY_REPEAT
+    elif spec.relation is Relation.ANTONYM:
+        words, kind = lexicon.antonym_pool(base, spec.symbol), EvidenceKind.LEX_ANTONYM
+    else:
+        words, kind = lexicon.synonym_pool(base, spec.symbol), EvidenceKind.LEX_SYNONYM
     if spec.derivations:
-        derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in words)
-        return EvidenceKind.SUFFIX_INVERSE if realized in derived else None
-    if realized in words:
-        return (EvidenceKind.IDENTITY_REPEAT if relation is Relation.IDENTITY
-                else EvidenceKind.LEX_ANTONYM if relation is Relation.ANTONYM
-                else EvidenceKind.LEX_SYNONYM)
-    if relation is Relation.ANTONYM:
-        negated = spec.symbol is PartOfSpeech.VERB and text == negated_infinitive(base_text)
-        return EvidenceKind.NEG_INF if negated else None
-    if relation is Relation.SYNONYM:
-        stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
-        return None if stripped.isdisjoint(words) else EvidenceKind.SUFFIX_INVERSE
-    return None
+        words = [apply_derivations(w, spec.derivations).replace(" ", "-") for w in words]
+        kind = EvidenceKind.SUFFIX_INVERSE
+    table = lexicon._accepted[(base, spec)] = dict.fromkeys(words, kind)
+    return table
 
 
 def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                match: re.Match[str], sentence_index: int) -> Detection:
+    """Each check is one lookup of the realized capture in its (base,
+    spec) table. A miss on an underived slot falls back to NegInf, the
+    captured text against the base verb's negated infinitive, for an
+    antonym verb slot, and to SuffixInverse, a set word among the
+    capture's suffix-stripped candidates, for a synonym slot."""
     captured = match.groups()
     joined = [c.replace(" ", "-") for c in captured]
+    tables = lexicon._accepted
     evidence: list[Evidence] = []
     for slot, spec, base_slot in form.checks:
-        kind = _check_relation(lexicon, spec, joined[base_slot], joined[slot],
-                               captured[base_slot], captured[slot])
+        base = joined[base_slot]
+        table = tables.get((base, spec))
+        if table is None:
+            table = _accepted_forms(lexicon, base, spec)
+            if table is None:
+                continue
+        realized = joined[slot]
+        kind = table.get(realized)
+        if kind is None and not spec.derivations:
+            if spec.relation is Relation.ANTONYM:
+                if (spec.symbol is PartOfSpeech.VERB
+                        and captured[slot] == negated_infinitive(captured[base_slot])):
+                    kind = EvidenceKind.NEG_INF
+            elif spec.relation is Relation.SYNONYM:
+                stripped = {*plural_bases(realized), *agentive_bases(realized),
+                            *gerund_bases(realized)}
+                if not stripped.isdisjoint(table):
+                    kind = EvidenceKind.SUFFIX_INVERSE
         if kind is not None:
             evidence.append(Evidence(slot, kind))
     checked, satisfied = len(form.checks), len(evidence)
@@ -106,10 +140,94 @@ def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                      satisfied, sentence_index, tuple(evidence))
 
 
+class _Unit(NamedTuple):
+    """The registry's schemas that share one regex, so it runs once per
+    line. Their `required` is the same too: it is the regex's literals."""
+    regex: re.Pattern[str]
+    required: frozenset[str]
+    members: tuple[tuple[int, str, CompiledSchema], ...]   # (registry position, class id, form)
+
+
+class _Plan(NamedTuple):
+    """How to try a registry's schemas on a line: each unit is indexed
+    under its rarest required token, the one the fewest schemas of the
+    registry require, or kept in `always` when it requires none."""
+    registry: tuple[Schema, ...]
+    index: dict[str, tuple[_Unit, ...]]
+    always: tuple[_Unit, ...]
+
+
+def _build_plan(registry: tuple[Schema, ...]) -> _Plan:
+    shared: dict[str, list[tuple[int, str, CompiledSchema]]] = {}
+    demand: dict[str, int] = {}
+    for position, schema in enumerate(registry):
+        form = schema.compiled
+        shared.setdefault(form.regex.pattern, []).append((position, schema.class_id, form))
+        for token in form.required:
+            demand[token] = demand.get(token, 0) + 1
+    index: dict[str, list[_Unit]] = {}
+    always: list[_Unit] = []
+    for members in shared.values():
+        form = members[0][2]
+        unit = _Unit(form.regex, form.required, tuple(members))
+        if form.required:
+            rarest = min(form.required, key=lambda token: (demand[token], token))
+            index.setdefault(rarest, []).append(unit)
+        else:
+            always.append(unit)
+    return _Plan(registry, {token: tuple(units) for token, units in index.items()},
+                 tuple(always))
+
+
+# The plan of the last registry tuple classified. A tuple of schemas cannot
+# change, and the plan holds it, so its identity cannot be reused.
+_last_plan: _Plan | None = None
+
+
+def _plan_for(registry: Sequence[Schema]) -> _Plan:
+    """The cached plan when `registry` is the tuple it was built for; else
+    a new plan, cached in its place when `registry` is a tuple. A list
+    may change between calls, so its plan is built per call."""
+    global _last_plan
+    plan = _last_plan
+    if plan is not None and plan.registry is registry:
+        return plan
+    if not isinstance(registry, tuple):
+        return _build_plan(tuple(registry))
+    plan = _last_plan = _build_plan(registry)
+    return plan
+
+
+def _classify(lexicon: Lexicon, plan: _Plan, tokens: tuple[str, ...],
+              sentence_index: int) -> list[Detection]:
+    text = " ".join(tokens)
+    present = set(tokens)
+    units = list(plan.always)
+    for token in plan.index.keys() & present:
+        units.extend(plan.index[token])
+    ranked: list[tuple[float, tuple[int, tuple[int, str]], int, Detection]] = []
+    for unit in units:
+        if not unit.required <= present:
+            continue
+        match = unit.regex.fullmatch(text)
+        if match is None:
+            continue
+        for position, class_id, form in unit.members:
+            detection = _detection(lexicon, class_id, form, match, sentence_index)
+            ranked.append((-detection.score, form.rank_key, position, detection))
+    # Registry positions are unique, so the sort never compares detections
+    # and the order the units were tried in cannot reach the result.
+    ranked.sort()
+    return [item[3] for item in ranked]
+
+
 def match_schema(lexicon: Lexicon, schema: Schema, sentence: str,
                  sentence_index: int = 0) -> Detection | None:
     """Match one schema against one sentence; None when the skeleton is absent."""
-    found = classify(lexicon, (schema,), sentence, sentence_index)
+    tokens = normalize(sentence)
+    if not tokens:
+        return None
+    found = _classify(lexicon, _build_plan((schema,)), tokens, sentence_index)
     return found[0] if found else None
 
 
@@ -119,32 +237,19 @@ def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
 
     Ranking: score, then literal token count (more anchoring text wins),
     then the natural class id order, so byte-identical patterns resolve
-    to the lower id.
+    to the lower id, then registry order.
     """
     tokens = normalize(sentence)
-    if not tokens:
-        return []
-    text = " ".join(tokens)
-    present = set(tokens)
-    ranked: list[tuple[float, tuple[int, tuple[int, str]], Detection]] = []
-    for schema in registry:
-        form = schema.compiled
-        if not form.required <= present:
-            continue
-        match = form.regex.fullmatch(text)
-        if match is None:
-            continue
-        detection = _detection(lexicon, schema.class_id, form, match, sentence_index)
-        ranked.append((-detection.score, form.rank_key, detection))
-    ranked.sort(key=lambda item: item[:2])
-    return [item[2] for item in ranked]
+    return _classify(lexicon, _plan_for(registry), tokens, sentence_index) if tokens else []
 
 
 def iter_scan(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[str],
               min_score: float = 0.5) -> Iterator[tuple[int, str, list[Detection]]]:
     """Classify each line as it is read: per line, `(index, line, kept)`,
     where `kept` holds the line's detections scoring at or above
-    min_score, best first, and may be empty."""
+    min_score, best first, and may be empty. The registry is read into a
+    tuple once, as the first line is read, so the scan builds one plan."""
+    registry = tuple(registry)
     for index, line in enumerate(lines):
         yield index, line, [d for d in classify(lexicon, registry, line, sentence_index=index)
                             if d.score >= min_score]

@@ -112,7 +112,9 @@ class Lexicon:
     """Immutable word store keyed by (surface, pos). Lookups are case-insensitive:
     they lower-case the word, so a key whose surface is not lower case, which
     no lookup could find, raises ValueError, as does a key holding an entry
-    of another surface or pos, which would not serialize to a valid file."""
+    of another surface or pos, which would not serialize to a valid file, and
+    an entry listing a synonym or antonym that is not the key of an entry of
+    its pos, which no lookup could bind either."""
 
     def __init__(self, entries: Mapping[tuple[str, PartOfSpeech], LexEntry],
                  report: ValidationReport | None = None):
@@ -123,6 +125,14 @@ class Lexicon:
             if (e.surface, e.pos) != (surface, pos):
                 raise ValueError(f"lexicon key {surface!r}/{pos.value} holds the entry "
                                  f"{e.surface!r}/{e.pos.value}")
+            for relation, words in (("synonym", e.synonyms), ("antonym", e.antonyms)):
+                unbound = sorted(w for w in words if (w, pos) not in self._entries)
+                if unbound:
+                    word = unbound[0]
+                    why = ("is not lower case" if word != word.lower()
+                           else f"names no {pos.value} entry")
+                    raise ValueError(f"lexicon entry {surface!r}/{pos.value}: "
+                                     f"{relation} {word!r} {why}")
         self.report = report if report is not None else ValidationReport()
         # Beside each entry, one sorted pool per relation (the synonyms with
         # the word itself); then the base-word pools per POS.
@@ -134,6 +144,10 @@ class Lexicon:
                        for pos in PartOfSpeech}
         self._antonym_words = {pos: tuple(w for w in words if self._antonym_pools[(w, pos)])
                                for pos, words in self._words.items()}
+        # Detection's accepted forms per (base, slot spec), kept here so they
+        # live as long as the words they derive from. `detector` fills a key
+        # on first use, and only for a base with an entry under the slot's pos.
+        self._accepted: dict[tuple[str, object], dict[str, object]] = {}
 
     @classmethod
     def empty(cls) -> "Lexicon":

@@ -28,6 +28,10 @@ class Derivation(Enum):
     PLURAL = "pl"
     NEGATED_INFINITIVE = "neginf"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with == and spares each DERIVATION_RULES lookup Enum's Python-level hash.
+    __hash__ = object.__hash__
+
 
 def _require(phrase: str) -> None:
     if not phrase:

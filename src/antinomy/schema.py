@@ -67,6 +67,10 @@ class Relation(Enum):
     ANTONYM = "antonym"
     SYNONYM = "synonym"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with == and spares every key holding a slot spec Enum's Python-level hash.
+    __hash__ = object.__hash__
+
 
 class SchemaKind(Enum):
     PARADOX = "paradox"

@@ -1,0 +1,208 @@
+"""Differential test: `classify` through its cached dispatch plan and the
+per-(base, slot) accepted-forms tables against the loop and the relation
+check they replaced, which are kept here as the oracle. The oracle tries
+every schema of the registry in order, runs each schema's regex, and for
+each check reads the lexicon's pools again and derives every pool word.
+Then the caches' own safety: a list registry is read afresh, a one-schema
+match keeps the cached plan, and unknown words leave the memo as it was."""
+from __future__ import annotations
+
+import random
+import re
+from importlib import resources
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, Lexicon,
+                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, Binding,
+                      apply_derivations, classify, detector, generate, iter_batch,
+                      iter_scan, match_schema, negated_infinitive, normalize,
+                      parse_lexicon, parse_template)
+from antinomy.morphology import agentive_bases, gerund_bases, plural_bases
+from antinomy.schema import CompiledSchema
+from conftest import random_template, with_article
+from test_generator_oracle import random_lexicon
+from test_prefilter import literal_words, one_edit, prose_line, skeleton_sentence
+from test_relation_audit import one_token_edit
+
+
+def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
+                             base_text: str, text: str) -> EvidenceKind | None:
+    """The relation check as it was before the accepted-forms tables."""
+    if lexicon.entry(base, spec.symbol) is None:
+        return None
+    relation = spec.relation
+    words = ((base,) if relation is Relation.IDENTITY
+             else lexicon.antonym_pool(base, spec.symbol) if relation is Relation.ANTONYM
+             else lexicon.synonym_pool(base, spec.symbol))
+    if spec.derivations:
+        derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in words)
+        return EvidenceKind.SUFFIX_INVERSE if realized in derived else None
+    if realized in words:
+        return (EvidenceKind.IDENTITY_REPEAT if relation is Relation.IDENTITY
+                else EvidenceKind.LEX_ANTONYM if relation is Relation.ANTONYM
+                else EvidenceKind.LEX_SYNONYM)
+    if relation is Relation.ANTONYM:
+        negated = spec.symbol is PartOfSpeech.VERB and text == negated_infinitive(base_text)
+        return EvidenceKind.NEG_INF if negated else None
+    if relation is Relation.SYNONYM:
+        stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
+        return None if stripped.isdisjoint(words) else EvidenceKind.SUFFIX_INVERSE
+    return None
+
+
+def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
+                        match: re.Match[str], sentence_index: int) -> Detection:
+    captured = match.groups()
+    joined = [c.replace(" ", "-") for c in captured]
+    evidence: list[Evidence] = []
+    for slot, spec, base_slot in form.checks:
+        kind = reference_check_relation(lexicon, spec, joined[base_slot], joined[slot],
+                                        captured[base_slot], captured[slot])
+        if kind is not None:
+            evidence.append(Evidence(slot, kind))
+    checked, satisfied = len(form.checks), len(evidence)
+    score = satisfied / checked if checked else 1.0
+    bases = tuple([(group.group_id, joined[group.base_ordinal]) for group in form.groups])
+    return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
+                     satisfied, sentence_index, tuple(evidence))
+
+
+def reference_classify(lexicon: Lexicon, registry, sentence: str,
+                       sentence_index: int = 0) -> list[Detection]:
+    """classify as it was before the dispatch plan: every schema in
+    registry order, its literals tested, then its own regex."""
+    tokens = normalize(sentence)
+    if not tokens:
+        return []
+    text = " ".join(tokens)
+    present = set(tokens)
+    ranked = []
+    for schema in registry:
+        form = schema.compiled
+        if not form.required <= present:
+            continue
+        match = form.regex.fullmatch(text)
+        if match is None:
+            continue
+        detection = reference_detection(lexicon, schema.class_id, form, match, sentence_index)
+        ranked.append((-detection.score, form.rank_key, detection))
+    ranked.sort(key=lambda item: item[:2])
+    return [item[2] for item in ranked]
+
+
+def fresh_demo_lexicon() -> Lexicon:
+    """The bundled lexicon with an empty memo, so the tables fill during the test."""
+    lexicon = parse_lexicon((resources.files("antinomy") / "data" / "demo.lex").read_text())
+    assert isinstance(lexicon, Lexicon)
+    return lexicon
+
+
+def random_class_id(rng: random.Random) -> str:
+    return f"{rng.randint(1, 40)}{rng.choice(('', 'a', 'n', 'x'))}"
+
+
+def random_registry(rng: random.Random, registry) -> list[Schema]:
+    """User schemas, one with the template of another under its own id and
+    one under the id of another, and a few built-ins, shuffled."""
+    dsls = [with_article(rng, random_template(rng)) for _ in range(rng.randint(1, 4))]
+    schemas = [Schema(random_class_id(rng), SchemaKind.PARADOX, parse_template(dsl))
+               for dsl in dsls]
+    schemas.append(Schema(random_class_id(rng), SchemaKind.TAUTOLOGY,
+                          parse_template(rng.choice(dsls))))
+    schemas.append(Schema(rng.choice(schemas).class_id, SchemaKind.PARADOX,
+                          parse_template(random_template(rng))))
+    schemas += rng.sample(registry, 4)
+    rng.shuffle(schemas)
+    return schemas
+
+
+@settings(deadline=None, max_examples=200)
+@given(rng=st.randoms(use_true_random=False))
+def test_classify_matches_the_oracle(rng, registry):
+    lexicon = random_lexicon(rng)
+    schemas = random_registry(rng, registry)
+    vocabulary = sorted({w for pos in PartOfSpeech for w in lexicon.words(pos)}
+                        | {w for schema in schemas for w in literal_words(schema)}
+                        | {"a", "an", "not", "to", "gleeb"})
+    lines = [prose_line(rng, vocabulary) for _ in range(2)]
+    for schema in schemas:
+        try:
+            sentence = generate(lexicon, schema, rng.getrandbits(64)).sentence
+        except GenerateError:
+            sentence = skeleton_sentence(rng, schema, vocabulary)
+        tokens = list(normalize(sentence))
+        lines += [sentence, " ".join(one_token_edit(rng, tokens, vocabulary)),
+                  one_edit(rng, skeleton_sentence(rng, schema, vocabulary), vocabulary)]
+    expected = [reference_classify(lexicon, schemas, line, index)
+                for index, line in enumerate(lines)]
+    for passed in (schemas, tuple(schemas)):
+        assert [classify(lexicon, passed, line, index)
+                for index, line in enumerate(lines)] == expected
+        assert [found for _, _, found in iter_scan(lexicon, passed, lines, 0.0)] == expected
+
+
+def test_golden_corpus_and_round_trip_match_the_oracle(registry):
+    lexicon = fresh_demo_lexicon()
+    text = (resources.files("antinomy") / "data" / "golden_corpus.tsv").read_text()
+    golden = [row.split("\t")[2] for row in text.splitlines()
+              if row.strip() and not row.startswith("#")]
+    round_trip = [s.sentence for s in iter_batch(lexicon, registry, 7, 100)]
+    assert len(golden) > 40 and len(round_trip) == 3600
+    for passed, lines in ((list(registry), golden), (registry, golden + round_trip)):
+        for index, line in enumerate(lines):
+            assert (classify(lexicon, passed, line, index)
+                    == reference_classify(lexicon, registry, line, index)), line
+
+
+HELL = "Hell without hell."
+
+
+def test_a_list_registry_is_read_afresh_on_each_call(demo_lexicon, registry):
+    schemas = [s for s in registry if s.class_id == "10"]
+    assert [d.class_id for d in classify(demo_lexicon, schemas, HELL)] == ["10"]
+    schemas.append(Schema("10", SchemaKind.TAUTOLOGY, parse_template("{N} without {N}.")))
+    assert [d.class_id for d in classify(demo_lexicon, schemas, HELL)] == ["10", "10"]
+    schemas[:] = [Schema("u", SchemaKind.PARADOX, parse_template("{N} without {~N}."))]
+    assert [d.class_id for d in classify(demo_lexicon, schemas, HELL)] == ["u"]
+    schemas.clear()
+    assert classify(demo_lexicon, schemas, HELL) == []
+
+
+def test_match_schema_keeps_the_cached_plan(demo_lexicon, registry, monkeypatch):
+    classify(demo_lexicon, registry, HELL)
+    plan = detector._last_plan
+    assert plan is not None and plan.registry is registry
+    built = []
+    build = detector._build_plan
+    monkeypatch.setattr(detector, "_build_plan",
+                        lambda schemas: built.append(schemas) or build(schemas))
+    one = next(s for s in registry if s.class_id == "10")
+    assert match_schema(demo_lexicon, one, HELL).class_id == "10"
+    assert classify(demo_lexicon, registry, HELL)[0].class_id == "10"
+    assert detector._last_plan is plan
+    assert built == [(one,)]
+
+
+def test_unknown_words_leave_the_memo_as_it_was(registry):
+    lexicon = fresh_demo_lexicon()
+    list(iter_scan(lexicon, registry, [HELL, "All is possible, the impossible too."]))
+    size = len(lexicon._accepted)
+    assert size > 0
+    unknown = [f"w{i} without w{i}." for i in range(300)]
+    unknown += [f"All is w{i}, the w{i + 1} too." for i in range(300)]
+    unknown += [f"Hell without w{i}." for i in range(300)]
+    list(iter_scan(lexicon, registry, unknown, 0.0))
+    assert len(lexicon._accepted) == size
+
+
+def test_equal_ranks_keep_registry_order(demo_lexicon):
+    # One class id, two literal tokens each and score 0, but indexed under
+    # different tokens: only the registry order can order the two.
+    first = Schema("u", SchemaKind.PARADOX, parse_template("{N} cats {N}."))
+    second = Schema("u", SchemaKind.TAUTOLOGY, parse_template("{N} like {N}."))
+    realized = {first: ("some", "like-dogs"), second: ("some-cats", "dogs")}
+    for order in ((first, second), (second, first)):
+        found = classify(demo_lexicon, order, "Some cats like dogs.")
+        assert [d.binding.realized for d in found] == [realized[s] for s in order]

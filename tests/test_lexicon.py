@@ -235,6 +235,24 @@ def test_constructor_refuses_an_entry_filed_under_another_key():
         Lexicon({("bike", V): bike})
 
 
+@pytest.mark.parametrize("field,word,why", [
+    ("synonyms", "Bike", "is not lower case"),
+    ("antonyms", "Bike", "is not lower case"),
+    ("synonyms", "auto", "names no N entry"),
+    ("antonyms", "run", "names no N entry"),
+])
+def test_constructor_refuses_a_relation_word_no_lookup_could_bind(field, word, why):
+    # Detection derives every pool word, and generate draws them, so each
+    # must be the lower-case key of an entry of the same part of speech.
+    car = LexEntry("car", N, frozenset(), frozenset())._replace(**{field: frozenset({word})})
+    entries = {("car", N): car, ("bike", N): LexEntry("bike", N, frozenset(), frozenset()),
+               ("run", V): LexEntry("run", V, frozenset(), frozenset()),
+               ("auto", A): LexEntry("auto", A, frozenset(), frozenset())}
+    relation = field[:-1]
+    with pytest.raises(ValueError, match=f"lexicon entry 'car'/N: {relation} {word!r} {why}"):
+        Lexicon(entries)
+
+
 def test_pools_of_self_listed_synonyms():
     auto = LexEntry("auto", N, frozenset({"auto", "car"}), frozenset())
     car = LexEntry("car", N, frozenset({"auto"}), frozenset())

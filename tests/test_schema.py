@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 
@@ -22,6 +24,18 @@ V = PartOfSpeech.VERB
 
 def spec(symbol, relation, prime, derivations, group_id):
     return SlotSpec(symbol, relation, prime, tuple(derivations), group_id)
+
+
+@pytest.mark.parametrize("member", [*Relation, *Derivation])
+def test_relation_and_derivation_hash_by_identity(member):
+    # A slot spec key hashes its members; each must stay one object.
+    assert hash(member) == object.__hash__(member)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(member, protocol)) is member
+    assert copy.deepcopy(member) is member and copy.copy(member) is member
+    assert type(member)(member.value) is member
+    key = spec(V, member, 0, (), 0) if isinstance(member, Relation) else member
+    assert {key: 1}[copy.deepcopy(key)] == 1
 
 
 def test_class_1_token_structure():
