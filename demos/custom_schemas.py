@@ -5,7 +5,7 @@ Building your own template and lexicon
 The built-in registry is just parsed template text; the same machinery
 runs on templates and lexicons you write yourself.
 """
-from antinomy import (Lexicon, Schema, SchemaKind, TemplateError, classify,
+from antinomy import (Lexicon, LiteralToken, Schema, SchemaKind, TemplateError, classify,
                       generate, parse_lexicon, parse_template, render_tokens)
 
 # a lexicon is tab-separated text: surface, part of speech, synonyms, antonyms.
@@ -41,3 +41,13 @@ for bad in ("{N}{V} touching slots.", "{Q} unknown symbol.", "{~A} no base.", "{
         parse_template(bad)
     except TemplateError as err:
         print(f"{bad!r:<28} -> {err.kind}")
+
+# a Schema built from tokens by hand passes the same checks: these are the
+# tokens of "{N}'s {~N}.", refused as the template text is
+noun, _, antonym, end = parse_template("{N} or {~N}.")
+try:
+    Schema("glued", SchemaKind.PARADOX, (noun, LiteralToken("'s "), antonym, end))
+except TemplateError as err:
+    print(f"{'hand-built tokens':<28} -> {err.kind}")
+else:
+    raise AssertionError("a Schema accepted tokens that parse_template refuses")

@@ -5,7 +5,7 @@ sequence against the schema: literals must appear verbatim, slots
 capture one to three tokens, shortest capture first, leftmost binding
 wins. Only that first alignment is scored, even when another one would
 satisfy more relations (README detection rule 2). Phase two walks the
-schema's compiled checks, one (slot, spec, base slot) per non-base
+schema's compiled checks, one (slot, check, base slot) per non-base
 slot, and audits each by one rule: the realized word must be in the
 relation's word set (the base, or the lexicon's sorted pool of its
 antonyms, or of its synonyms and the base), or for a derived slot be a
@@ -31,10 +31,10 @@ instead:
   plan without replacing the kept one.
 - Relations. The forms a check accepts against a known base, the set
   words or for a derived slot their derived forms, each with its
-  evidence kind, form one table per (base, slot spec). It is built on
-  first use and kept on the lexicon for as long as the lexicon lives; a
-  check is then one lookup, and the two fallbacks run only on a miss. A
-  base the lexicon lacks gets no table, so input words cannot grow it.
+  evidence kind, form one table per (base, RelationCheck). It is built
+  on first use and kept on the lexicon for as long as the lexicon lives;
+  a check is then one lookup, and the two fallbacks run only on a miss.
+  A base the lexicon lacks gets no table, so input words cannot grow it.
 
 Ranking sorts on score, literal token count, class id and registry
 position, so the order in which schemas were tried never shows.
@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import (agentive_bases, apply_derivations, gerund_bases,
                          negated_infinitive, plural_bases)
-from .schema import Binding, CompiledSchema, Relation, Schema, SlotSpec, normalize
+from .schema import Binding, CompiledSchema, Relation, RelationCheck, Schema, normalize
 
 
 class EvidenceKind(Enum):
@@ -78,7 +78,7 @@ class Detection(NamedTuple):
     evidence: tuple[Evidence, ...]
 
 
-def _accepted_forms(lexicon: Lexicon, base: str, spec: SlotSpec
+def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
                     ) -> dict[str, EvidenceKind] | None:
     """The slot's accepted forms for a known base, built once and kept on
     the lexicon: each word of the relation's word set (the base, or its
@@ -86,25 +86,24 @@ def _accepted_forms(lexicon: Lexicon, base: str, spec: SlotSpec
     or for a derived slot each word's derived form, hyphen-joined, as
     SuffixInverse. None for a base with no entry, which is not kept, so
     input words cannot grow the memo."""
-    if lexicon.entry(base, spec.symbol) is None:
+    if lexicon.entry(base, check.symbol) is None:
         return None
-    if spec.relation is Relation.IDENTITY:
+    if check.relation is Relation.IDENTITY:
         words, kind = (base,), EvidenceKind.IDENTITY_REPEAT
-    elif spec.relation is Relation.ANTONYM:
-        words, kind = lexicon.antonym_pool(base, spec.symbol), EvidenceKind.LEX_ANTONYM
+    elif check.relation is Relation.ANTONYM:
+        words, kind = lexicon.antonym_pool(base, check.symbol), EvidenceKind.LEX_ANTONYM
     else:
-        words, kind = lexicon.synonym_pool(base, spec.symbol), EvidenceKind.LEX_SYNONYM
-    if spec.derivations:
-        words = [apply_derivations(w, spec.derivations).replace(" ", "-") for w in words]
+        words, kind = lexicon.synonym_pool(base, check.symbol), EvidenceKind.LEX_SYNONYM
+    if check.derivations:
+        words = [apply_derivations(w, check.derivations).replace(" ", "-") for w in words]
         kind = EvidenceKind.SUFFIX_INVERSE
-    table = lexicon._accepted[(base, spec)] = dict.fromkeys(words, kind)
-    return table
+    return lexicon._accepted.setdefault((base, check), dict.fromkeys(words, kind))
 
 
 def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                match: re.Match[str], sentence_index: int) -> Detection:
     """Each check is one lookup of the realized capture in its (base,
-    spec) table. A miss on an underived slot falls back to NegInf, the
+    check) table. A miss on an underived slot falls back to NegInf, the
     captured text against the base verb's negated infinitive, for an
     antonym verb slot, and to SuffixInverse, a set word among the
     capture's suffix-stripped candidates, for a synonym slot."""
@@ -112,21 +111,21 @@ def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
     joined = [c.replace(" ", "-") for c in captured]
     tables = lexicon._accepted
     evidence: list[Evidence] = []
-    for slot, spec, base_slot in form.checks:
+    for slot, check, base_slot in form.checks:
         base = joined[base_slot]
-        table = tables.get((base, spec))
+        table = tables.get((base, check))
         if table is None:
-            table = _accepted_forms(lexicon, base, spec)
+            table = _accepted_forms(lexicon, base, check)
             if table is None:
                 continue
         realized = joined[slot]
         kind = table.get(realized)
-        if kind is None and not spec.derivations:
-            if spec.relation is Relation.ANTONYM:
-                if (spec.symbol is PartOfSpeech.VERB
+        if kind is None and not check.derivations:
+            if check.relation is Relation.ANTONYM:
+                if (check.symbol is PartOfSpeech.VERB
                         and captured[slot] == negated_infinitive(captured[base_slot])):
                     kind = EvidenceKind.NEG_INF
-            elif spec.relation is Relation.SYNONYM:
+            elif check.relation is Relation.SYNONYM:
                 stripped = {*plural_bases(realized), *agentive_bases(realized),
                             *gerund_bases(realized)}
                 if not stripped.isdisjoint(table):

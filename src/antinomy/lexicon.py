@@ -110,18 +110,19 @@ class ValidationReport(NamedTuple):
 
 class Lexicon:
     """Immutable word store keyed by (surface, pos). Lookups are case-insensitive:
-    they lower-case the word, so a key whose surface is not lower case, which
-    no lookup could find, raises ValueError, as does a key holding an entry
-    of another surface or pos, which would not serialize to a valid file, and
-    an entry listing a synonym or antonym that is not the key of an entry of
-    its pos, which no lookup could bind either."""
+    they lower-case the word. A key whose surface is not a lower-case word of
+    WORD_PATTERN, which no lookup could find or detect read back, raises
+    ValueError, as does a key holding an entry of another surface or pos, which
+    would not serialize to a valid file, and an entry listing a synonym or
+    antonym that is not the key of an entry of its pos, which no lookup could bind."""
 
     def __init__(self, entries: Mapping[tuple[str, PartOfSpeech], LexEntry],
                  report: ValidationReport | None = None):
         self._entries = dict(entries)
         for (surface, pos), e in self._entries.items():
-            if surface != surface.lower():
-                raise ValueError(f"lexicon key {surface!r}/{pos.value} is not lower case")
+            if not _WORD_RE.fullmatch(surface):
+                why = "is not lower case" if surface != surface.lower() else "is not a lexicon word"
+                raise ValueError(f"lexicon key {surface!r}/{pos.value} {why}")
             if (e.surface, e.pos) != (surface, pos):
                 raise ValueError(f"lexicon key {surface!r}/{pos.value} holds the entry "
                                  f"{e.surface!r}/{e.pos.value}")
@@ -144,9 +145,9 @@ class Lexicon:
                        for pos in PartOfSpeech}
         self._antonym_words = {pos: tuple(w for w in words if self._antonym_pools[(w, pos)])
                                for pos, words in self._words.items()}
-        # Detection's accepted forms per (base, slot spec), kept here so they
-        # live as long as the words they derive from. `detector` fills a key
-        # on first use, and only for a base with an entry under the slot's pos.
+        # Detection's accepted forms per (base, relation check), kept here so
+        # they live as long as the words they derive from. `detector` fills a
+        # key on first use, and only for a base with an entry under its pos.
         self._accepted: dict[tuple[str, object], dict[str, object]] = {}
 
     @classmethod

@@ -14,13 +14,13 @@ Slots without #d group implicitly: all unmarked slots of one symbol share
 a group, numbered from the smallest id not claimed explicitly, in order
 of first appearance. Every group needs one bare base slot (no ~, no
 primes, no flags); the first such slot carries the group's base word.
-A Schema built from tokens with a group lacking one raises the parser's
-TemplateError when it is first compiled.
 
 The literal text "a(n)" is an article marker: generation resolves it
 against the following word, detection accepts exactly one "a" or "an".
 Each slot and marker must read as a word of its own: a template whose
 literal text would glue onto one ("x{N}", "{N}'s", "a(n)x") is rejected.
+A Schema accepts only the tokens its template text parses back to, so
+tokens built by hand pass the parser's checks when the Schema is built.
 
 Each schema compiles once, on first use, to a CompiledSchema kept on the
 instance. Its `pieces`, the template split once at slots and markers,
@@ -109,6 +109,10 @@ class Schema:
     tokens: tuple[Token, ...]
     label: str = field(default="", compare=False)
 
+    def __post_init__(self) -> None:
+        if parse_template(text := render_tokens(self.tokens)) != self.tokens:
+            raise ValueError(f"class {self.class_id!r}: tokens are not what {text!r} parses to")
+
     def slot_specs(self) -> tuple[SlotSpec, ...]:
         """Slot specs in template order; index = the slot's ordinal."""
         return tuple(t.spec for t in self.tokens if isinstance(t, SlotToken))
@@ -121,7 +125,7 @@ class Schema:
         return {g: tuple(ix) for g, ix in out.items()}
 
     def base_ordinal(self, group_id: int) -> int:
-        """Ordinal of the group's base slot; TemplateError when it has none."""
+        """Ordinal of the group's base slot."""
         return _base_ordinal(self.slot_specs(), group_id)
 
     @functools.cached_property
@@ -155,6 +159,13 @@ class GroupPlan(NamedTuple):
     needs_antonym: bool       # the base must have a lexical antonym
 
 
+class RelationCheck(NamedTuple):
+    """The fields of a slot's SlotSpec that decide which forms it accepts."""
+    symbol: PartOfSpeech
+    relation: Relation
+    derivations: tuple[Derivation, ...]
+
+
 class Binding(NamedTuple):
     """(group id, base word) per group in group order, plus each slot's realized surface."""
     bases: tuple[tuple[int, str], ...]
@@ -182,8 +193,8 @@ class CompiledSchema(NamedTuple):
     """
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
-    checks: tuple[tuple[int, SlotSpec, int], ...]  # (slot, spec, base slot) per non-base slot
-    pieces: tuple[str | int, ...]             # adjacent literal tokens read as one
+    checks: tuple[tuple[int, RelationCheck, int], ...]  # (slot, check, base slot) per non-base slot
+    pieces: tuple[str | int, ...]
     regex: re.Pattern[str]
     required: frozenset[str]
     rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
@@ -192,11 +203,11 @@ class CompiledSchema(NamedTuple):
 def _compile_schema(schema: Schema) -> CompiledSchema:
     pieces: list[str | int] = []
     slot_index = itertools.count()
-    for is_slot, run in itertools.groupby(schema.tokens, lambda t: isinstance(t, SlotToken)):
-        if is_slot:
-            pieces.extend(next(slot_index) for _ in run)
+    for t in schema.tokens:
+        if isinstance(t, SlotToken):
+            pieces.append(next(slot_index))
         else:
-            pieces.extend(p for p in ARTICLE_MARKER_RE.split("".join(t.text for t in run)) if p)
+            pieces.extend(p for p in ARTICLE_MARKER_RE.split(t.text) if p)
     parts: list[str] = []
     required: set[str] = set()
     for piece in pieces:
@@ -220,8 +231,8 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
     return CompiledSchema(
         specs=specs,
         groups=groups,
-        checks=tuple((i, spec, base_of[spec.group_id]) for i, spec in enumerate(specs)
-                     if i != base_of[spec.group_id]),
+        checks=tuple((i, RelationCheck(s.symbol, s.relation, s.derivations), base_of[s.group_id])
+                     for i, s in enumerate(specs) if i != base_of[s.group_id]),
         pieces=tuple(pieces),
         regex=re.compile(" ".join(parts)),
         required=frozenset(required),
@@ -330,8 +341,8 @@ def render_tokens(tokens: tuple[Token, ...]) -> str:
 
     Explicit #d markers are emitted on every slot when the stored group
     ids differ from what implicit assignment would produce, otherwise on
-    none; parse_template(render_tokens(t)) == t either way. A literal
-    holding a brace, or an explicit group id above 9, raises ValueError.
+    none; parse_template(render_tokens(t)) == t for a Schema's tokens. A
+    literal holding a brace or an explicit group id above 9 raises ValueError.
     """
     specs = [t.spec for t in tokens if isinstance(t, SlotToken)]
     stored = [spec.group_id for spec in specs]
@@ -387,16 +398,15 @@ CATALOG_HEADER = (
 def dump_catalog(schemas: tuple[Schema, ...]) -> str:
     """Catalog text that load_catalog reads back to `schemas`, labels
     included. Each row is read back by load_catalog after the header, as
-    it stands in the text; a schema whose tokens do not render, a row
-    that does not read back to its schema (a tab or line break in a
-    field, a row read as a comment, template text that parses to other
-    tokens), or a repeated class id raises ValueError naming the class.
+    it stands in the text; a row that does not read back to its schema
+    (a tab or line break in a field, a row read as a comment) or a
+    repeated class id raises ValueError naming the class.
     A row ends at "\n", "\r\n" or "\r" only, so a field may hold any
     other line break of `str.splitlines`, such as a form feed or U+2028."""
     rows: dict[str, str] = {}
     for s in schemas:
+        row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}\n"
         try:
-            row = f"{s.class_id}\t{s.kind.value}\t{render_template(s)}\t{s.label}\n"
             back = [(b, b.label) for b in load_catalog(CATALOG_HEADER + row)]
         except ValueError:
             back = []

@@ -5,6 +5,7 @@ import pytest
 from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
                       PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, generate,
                       generate_batch, parse_lexicon, parse_template, sub_seed)
+from antinomy.generator import _capitalize_first, _render
 
 N = PartOfSpeech.NOUN
 
@@ -175,13 +176,13 @@ def test_capitalized_article_marker():
 
 
 def test_article_marker_in_a_slot_fill_is_printed_as_it_is():
-    # parse_lexicon refuses "ba(n)d", so it enters through the constructor.
-    nouns = Lexicon({(w, N): LexEntry(w, N, frozenset(), frozenset()) for w in ("ba(n)d", "hell")})
-    out = generate(nouns, make_schema("10", "{N} without {N}."), overrides={0: "ba(n)d"})
-    assert out.sentence == "Ba(n)d without ba(n)d."
-    out = generate(nouns, make_schema("u", "A(n) {N} is a(n) {N}."), overrides={0: "ba(n)d"})
-    assert out.sentence == "A ba(n)d is a ba(n)d."
-    assert out.binding.realized == ("ba(n)d", "ba(n)d")
+    # No lexicon holds a word such as "ba(n)d", so the renderer gets it directly.
+    with pytest.raises(ValueError, match="is not a lexicon word"):
+        Lexicon({("ba(n)d", N): LexEntry("ba(n)d", N, frozenset(), frozenset())})
+    pieces = make_schema("10", "{N} without {N}.").compiled.pieces
+    assert _capitalize_first(_render(pieces, ["ba(n)d"] * 2)) == "Ba(n)d without ba(n)d."
+    pieces = make_schema("u", "A(n) {N} is a(n) {N}.").compiled.pieces
+    assert _render(pieces, ["ba(n)d"] * 2) == "A ba(n)d is a ba(n)d."
 
 
 def test_first_letter_is_capitalized():
@@ -290,9 +291,10 @@ def test_full_registry_runs_on_bundled_lexicon(demo_lexicon, registry):
 
 
 def test_braces_in_literal_text_render_verbatim():
-    # Hand-built tokens may carry braces that the template parser rejects.
+    # No Schema holds literal braces, as the template parser rejects them,
+    # so the renderer gets them directly.
     slot = parse_template("{A}")[0]
     assert isinstance(slot, SlotToken)
-    schema = Schema("u", SchemaKind.PARADOX, (LiteralToken("{x} is "), slot, LiteralToken(" }")))
-    out = generate(OPPOSITES, schema, overrides={0: "possible"})
-    assert out.sentence == "{X} is possible }"
+    with pytest.raises(ValueError, match="brace"):
+        Schema("u", SchemaKind.PARADOX, (LiteralToken("{x} is "), slot, LiteralToken(" }")))
+    assert _capitalize_first(_render(("{x} is ", 0, " }"), ["possible"])) == "{X} is possible }"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Lexicon,
+from antinomy import (BadOverrideError, Binding, GeneratedSentence, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
                       SlotSpec, SplitMix64, apply_derivations, generate,
                       generate_batch, indefinite_article, negated_infinitive,
@@ -107,10 +107,10 @@ def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
 def random_lexicon(rng: random.Random) -> Lexicon:
     """A parsed random lexicon; at times one part of speech loses every
-    antonym, so antonym groups of that POS have no candidate at all, at
-    times a word holds an article marker, and at times it gains the
-    entries of `hand_built_entries`, where stored pools could drift from
-    the case folding and unions of `synonyms` and `antonyms`."""
+    antonym, so antonym groups of that POS have no candidate at all, and
+    at times it gains the entries of `hand_built_entries`, where stored
+    pools could drift from the case folding and unions of `synonyms` and
+    `antonyms`."""
     lines = random_lexicon_source(rng).splitlines()
     if rng.random() < 0.4:
         bare = rng.choice("NVA")
@@ -118,12 +118,7 @@ def random_lexicon(rng: random.Random) -> Lexicon:
                  for line, f in ((line, line.split("\t")) for line in lines)]
     lexicon = parse_lexicon("\n".join(lines) + "\n")
     assert isinstance(lexicon, Lexicon)
-    # parse_lexicon lower-cases every key and refuses a word holding
-    # parentheses, so these entries enter through the constructor.
     added = hand_built_entries(rng, lexicon)
-    if rng.random() < 0.3:
-        marked = (rng.choice(['a(n)', 'ba(n)d', 'a(n)-x']), PartOfSpeech(rng.choice('NVA')))
-        added[marked] = LexEntry(*marked, frozenset(), frozenset())
     if not added:
         return lexicon
     entries = {(e.surface, e.pos): e for e in lexicon.entries()}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -223,6 +224,16 @@ def test_constructor_refuses_a_key_that_is_not_lower_case(surface):
     auto = LexEntry("auto", N, frozenset(), frozenset())
     with pytest.raises(ValueError, match=f"lexicon key {surface!r}/N is not lower case"):
         Lexicon({("auto", N): auto, (surface, N): car})
+
+
+@pytest.mark.parametrize("surface", ["o.k", "", "ba(n)d", "caf\u00e9", "two words", "-x", "x-"])
+def test_constructor_refuses_a_key_that_is_not_a_lexicon_word(surface):
+    # parse_lexicon refuses such a word; generate would print it, and
+    # detect would read it as other tokens or none.
+    entry = LexEntry(surface, N, frozenset(), frozenset())
+    with pytest.raises(ValueError,
+                       match=re.escape(f"lexicon key {surface!r}/N is not a lexicon word")):
+        Lexicon({(surface, N): entry})
 
 
 def test_constructor_refuses_an_entry_filed_under_another_key():

@@ -1,5 +1,5 @@
 """Differential test: the relation audit over each schema's compiled
-(slot, spec, base slot) checks against the per-relation audit it
+(slot, check, base slot) checks against the per-relation audit it
 replaced, which is kept here as the reference. The reference looks up
 each slot's group base per match, skips base slots as it walks every
 slot, and carries each capture both as a token tuple and hyphen-joined."""
@@ -18,7 +18,7 @@ from antinomy.detector import _detection
 from antinomy.generator import Binding
 from antinomy.morphology import (agentive_bases, apply_derivations, gerund_bases,
                                  plural_bases)
-from antinomy.schema import CompiledSchema, LiteralToken
+from antinomy.schema import CompiledSchema, LiteralToken, RelationCheck
 from conftest import hand_built_entries, random_lexicon_source, random_template
 
 
@@ -170,9 +170,20 @@ def test_checks_hold_every_non_base_slot_once(rng, registry):
               Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng))))
     form = schema.compiled
     base_of = {group.group_id: group.base_ordinal for group in form.groups}
-    assert form.checks == tuple((i, spec, base_of[spec.group_id])
-                                for i, spec in enumerate(form.specs)
-                                if i != base_of[spec.group_id])
+    assert form.checks == tuple(
+        (i, RelationCheck(spec.symbol, spec.relation, spec.derivations), base_of[spec.group_id])
+        for i, spec in enumerate(form.specs) if i != base_of[spec.group_id])
+
+
+def test_slots_that_differ_in_prime_or_group_alone_share_one_table():
+    # The forms a slot accepts depend on its base, symbol, relation and
+    # derivations only, so all three checks read one table.
+    lexicon = lex("car\tN\tauto\t\nauto\tN\tcar\t\n")
+    schema = Schema("u", SchemaKind.PARADOX,
+                    parse_template("{N#1} is {N'#1} or {N''#1}, {N#2} is {N'#2}."))
+    det = match_schema(lexicon, schema, "Car is auto or car, car is auto.")
+    assert det is not None and det.score == 1.0 and det.relations_checked == 3
+    assert len(lexicon._accepted) == 1
 
 
 SPEAK = lex("speak\tV\t\t\n")

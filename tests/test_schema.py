@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Derivation, LiteralToken, PartOfSpeech, Relation, Schema,
-                      SchemaKind, SlotSpec, SlotToken, TemplateError,
+from antinomy import (Derivation, GenerateError, Lexicon, LiteralToken, PartOfSpeech,
+                      Relation, Schema, SchemaKind, SlotSpec, SlotToken, TemplateError,
                       builtin_registry, class_sort_key, classify, dump_catalog,
-                      generate, load_catalog, parse_template, render_template,
-                      render_tokens)
+                      generate, load_catalog, normalize, parse_lexicon, parse_template,
+                      render_template, render_tokens)
 from antinomy import schema as schema_mod
-from conftest import random_template
+from conftest import random_lexicon_source, random_template
 
 A = PartOfSpeech.ATTRIBUTE
 N = PartOfSpeech.NOUN
@@ -139,6 +139,77 @@ def test_templates_that_keep_each_slot_a_word_parse(dsl):
 def test_later_bare_slot_is_not_the_base():
     sch = Schema("x", SchemaKind.PARADOX, parse_template("{N} without {N}."))
     assert sch.base_ordinal(0) == 0
+
+
+_BASE = SlotToken(spec(N, Relation.IDENTITY, 0, (), 0))
+_ANTONYM = SlotToken(spec(N, Relation.ANTONYM, 0, (), 0))
+
+
+# Three shapes print sentences that detection cannot read back, and one
+# has no base word to draw: a Schema refuses each as the parser does.
+@pytest.mark.parametrize("tokens,kind", [
+    ((_BASE, LiteralToken("'s "), _ANTONYM, LiteralToken(".")), schema_mod.GLUED_SLOT),
+    ((_BASE, _ANTONYM, LiteralToken(".")), schema_mod.ADJACENT_SLOTS),
+    ((_BASE, LiteralToken(" x "), SlotToken(spec(V, Relation.ANTONYM, 0, (), 0)),
+      LiteralToken(".")), schema_mod.GROUP_CONFLICT),
+    ((_ANTONYM, LiteralToken(" without "), SlotToken(spec(N, Relation.SYNONYM, 1, (), 0)),
+      LiteralToken(".")), schema_mod.MISSING_BASE),
+], ids=["glued", "adjacent-slots", "mixed-group", "no-base"])
+def test_a_schema_refuses_what_the_parser_refuses(tokens, kind):
+    with pytest.raises(TemplateError) as built:
+        Schema("u", SchemaKind.PARADOX, tokens)
+    with pytest.raises(TemplateError) as parsed:
+        parse_template(render_tokens(tokens))
+    assert built.value.kind == parsed.value.kind == kind
+    assert str(built.value) == str(parsed.value)
+
+
+_DERIVATIONS = st.lists(st.sampled_from(Derivation), max_size=2).map(tuple)
+_ANY_SLOT = st.builds(SlotSpec, st.sampled_from(PartOfSpeech), st.sampled_from(Relation),
+                      st.integers(-1, 3), _DERIVATIONS, st.integers(-1, 11)).map(SlotToken)
+_ANY_LITERAL = (st.sampled_from(["", " ", " so ", "'s ", "s ", ".", " a(n) ", "a(n)", "{", "}",
+                                 "{N}", " x{N} "]) | st.text(max_size=3)).map(LiteralToken)
+
+
+@st.composite
+def _edited_tokens(draw) -> tuple:
+    """The tokens of a valid template, then up to three edits: a slot or
+    a literal (braces, empty or glued text among them) put in, one taken
+    out, or two swapped, so that glue, adjacency and mixed groups come up."""
+    tokens = list(parse_template(random_template(random.Random(draw(st.integers(0, 2 ** 32))))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["slot", "literal", "drop", "swap"]))
+        if edit in ("slot", "literal"):
+            tokens.insert(at, draw(_ANY_SLOT if edit == "slot" else _ANY_LITERAL))
+        elif tokens:
+            i, j = at % len(tokens), draw(st.integers(0, len(tokens) - 1))
+            if edit == "drop":
+                del tokens[i]
+            else:
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tuple(tokens)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited_tokens(), st.integers(0, 2 ** 32))
+def test_a_schema_is_built_only_from_tokens_that_read_back(tokens, seed):
+    try:
+        schema = Schema("u", SchemaKind.PARADOX, tokens)
+    except ValueError:      # TemplateError among them
+        return
+    assert parse_template(render_tokens(schema.tokens)) == schema.tokens
+    # What a built schema generates, detection reads back in full.
+    rng = random.Random(seed)
+    lexicon = parse_lexicon(random_lexicon_source(rng))
+    assert isinstance(lexicon, Lexicon)
+    try:
+        out = generate(lexicon, schema, rng.getrandbits(64))
+    except GenerateError:
+        return
+    if normalize(out.sentence):     # a template may hold no word at all
+        ranked = classify(lexicon, [schema], out.sentence)
+        assert ranked and ranked[0].score == 1.0, out.sentence
 
 
 def test_hand_built_schema_without_a_base_slot_raises_the_parsers_error(demo_lexicon):
@@ -307,18 +378,21 @@ def test_dump_catalog_keeps_a_class_id_that_starts_with_a_bom():
 
 
 # Tokens parse_template never produces: they render to template text
-# that parses to other tokens or not at all, or they do not render.
-@pytest.mark.parametrize("tokens", [
-    (LiteralToken("so "), LiteralToken("very "), *_WITHOUT),
-    (LiteralToken(""), *_WITHOUT),
-    (*_WITHOUT[:2], LiteralToken(""), *_WITHOUT[2:]),
-    (_WITHOUT[0], _WITHOUT[2], LiteralToken(".")),
-    (LiteralToken("x{y "), *_WITHOUT),
+# that parses to other tokens or not at all, or they do not render. No
+# Schema holds them, so dump_catalog never meets them.
+@pytest.mark.parametrize("tokens,error", [
+    ((LiteralToken("so "), LiteralToken("very "), *_WITHOUT), "class 'u': tokens are not what"),
+    ((LiteralToken(""), *_WITHOUT), "class 'u': tokens are not what"),
+    ((*_WITHOUT[:2], LiteralToken(""), *_WITHOUT[2:]), "class 'u': tokens are not what"),
+    ((_WITHOUT[0], _WITHOUT[2], LiteralToken(".")), "adjacent slots at offset 3"),
+    ((LiteralToken("x{y "), *_WITHOUT), "literal 'x{y ' holds a brace"),
+    ((*_WITHOUT[:2], SlotToken(spec(N, Relation.SYNONYM, 0, (), 0)), _WITHOUT[3]),
+     "class 'u': tokens are not what '{N} without {N}.' parses to"),
 ], ids=["adjacent-literals", "leading-empty-literal", "inner-empty-literal", "adjacent-slots",
-        "brace-literal"])
-def test_dump_catalog_rejects_tokens_that_do_not_read_back(tokens):
-    with pytest.raises(ValueError, match=re.escape("class 'u'")):
-        dump_catalog((Schema("u", SchemaKind.PARADOX, tokens),))
+        "brace-literal", "prime-disagrees"])
+def test_dump_catalog_rejects_tokens_that_do_not_read_back(tokens, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        Schema("u", SchemaKind.PARADOX, tokens)
 
 
 # Arbitrary text, or short text over characters that a catalog row
