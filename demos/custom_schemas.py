@@ -5,6 +5,9 @@ Building your own template and lexicon
 The built-in registry is just parsed template text; the same machinery
 runs on templates and lexicons you write yourself.
 """
+import re
+import sys
+
 from antinomy import (Lexicon, LiteralToken, Schema, SchemaKind, TemplateError, classify,
                       generate, parse_lexicon, parse_template, render_tokens)
 
@@ -16,6 +19,10 @@ lexicon = parse_lexicon(
     "destroy\tV\t\t\n"
     "wall\tN\tfence\t\n"
     "fence\tN\twall\t\n"
+    "order\tN\t\tchaos\n"
+    "chaos\tN\t\t\n"
+    "end\tN\t\tbeginning\n"
+    "beginning\tN\t\t\n"
 )
 assert isinstance(lexicon, Lexicon)
 print("repairs made:", [str(r) for r in lexicon.report.repairs])
@@ -51,3 +58,20 @@ except TemplateError as err:
     print(f"{'hand-built tokens':<28} -> {err.kind}")
 else:
     raise AssertionError("a Schema accepted tokens that parse_template refuses")
+
+# "A(n)" prints a capital article, "a(n)" a lower-case one. Before a slot,
+# the article is chosen by the word generation puts there; the sentence
+# starts with a capital whatever its first word.
+failures = 0
+for dsl in ("A(n) {N} hides in a(n) {~N}.", "Look: A(n) {~N} is a(n) {N} too."):
+    schema = Schema("articles", SchemaKind.PARADOX, parse_template(dsl))
+    for seed in range(6):
+        sentence = generate(lexicon, schema, seed=seed).sentence
+        print(sentence)
+        wrong = [f"{article} {word}" for article, word in re.findall(r"\b(an?) (\w+)", sentence,
+                                                                      re.IGNORECASE)
+                 if (article.lower() == "an") != (word[0].lower() in "aeiou")]
+        if wrong or not sentence[0].isupper():
+            print(f"  article or capital wrong: {wrong or sentence[0]}")
+            failures += 1
+sys.exit(1 if failures else 0)

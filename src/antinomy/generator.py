@@ -5,7 +5,8 @@ word, antonym and synonym pools are filtered and sorted once per
 lexicon, and a draw happens exactly once per choice point, so equal
 (lexicon, schema, seed, overrides) always yields the identical
 sentence. Candidate filtering happens before sampling; a group with an
-empty pool raises NoCandidateError instead of rejection loops. A batch
+empty pool raises NoCandidateError instead of rejection loops. A
+sentence is its schema's render plan with the slots' fills put in. A batch
 is made one item at a time by `iter_batch`, so a caller that writes each
 item as it comes holds one sentence at a time; `generate_batch` collects
 the same items into lists.
@@ -17,7 +18,11 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
 from .rng import SplitMix64, sub_seed
-from .schema import ARTICLE_MARKERS, Binding, GroupPlan, Relation, Schema
+from .schema import Binding, GroupPlan, PlanPiece, Relation, Schema
+
+
+# Bound once: on Python 3.11, EnumType's __getattr__ makes each member read slow.
+_IDENTITY, _ANTONYM = Relation.IDENTITY, Relation.ANTONYM
 
 
 class GenerateError(Exception):
@@ -59,26 +64,19 @@ class BatchResult(NamedTuple):
     skips: tuple[SkippedSchema, ...]
 
 
-def _render(pieces: Sequence[str | int], realized: Sequence[str]) -> str:
-    """The pieces filled from the right, each article marker resolved against
-    the text after it; a marker inside a slot fill is printed as it is."""
-    text = ""
-    for piece in reversed(pieces):
-        if isinstance(piece, int):
-            piece = realized[piece]
-        elif piece in ARTICLE_MARKERS:
-            tail = text.lstrip()
-            article = indefinite_article(tail) if tail else "a"
-            piece = article.capitalize() if piece[0] == "A" else article
-        text = piece + text
-    return text
-
-
-def _capitalize_first(text: str) -> str:
-    for i, c in enumerate(text):
-        if c.isalnum():
-            return text[:i] + c.upper() + text[i + 1:]
-    return text
+def _fill(plan: Sequence[PlanPiece], realized: Sequence[str]) -> str:
+    """The sentence: the schema's render plan with the slots' fills put in."""
+    parts = []
+    for piece in plan:
+        if piece.__class__ is str:
+            parts.append(piece)
+        elif piece.__class__ is int:
+            parts.append(realized[piece])
+        else:
+            slot, article, capitalised = piece
+            word = indefinite_article(realized[slot]) if article else realized[slot]
+            parts.append(word[0].upper() + word[1:] if capitalised else word)
+    return "".join(parts)
 
 
 def _refusal(lexicon: Lexicon, group: GroupPlan, word: str) -> str | None:
@@ -130,9 +128,9 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
     realized: list[str] = []
     for spec in form.specs:
         base = bases[spec.group_id]
-        if spec.relation is Relation.IDENTITY:
+        if spec.relation is _IDENTITY:
             word = base
-        elif spec.relation is Relation.ANTONYM:
+        elif spec.relation is _ANTONYM:
             antonyms = lexicon.antonym_pool(base, spec.symbol)
             if antonyms:
                 word = rng.choice(antonyms)
@@ -147,10 +145,9 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
                     or [w for w in synonyms if w != base])
             word = rng.choice(pool) if pool else base
             used.add(word)
-        realized.append(apply_derivations(word, spec.derivations))
+        realized.append(apply_derivations(word, spec.derivations) if spec.derivations else word)
 
-    sentence = _capitalize_first(_render(form.pieces, realized))
-    return GeneratedSentence(schema.class_id, sentence, seed,
+    return GeneratedSentence(schema.class_id, _fill(form.plan, realized), seed,
                              Binding(tuple(bases.items()), tuple(realized)))
 
 

@@ -15,16 +15,16 @@ a group, numbered from the smallest id not claimed explicitly, in order
 of first appearance. Every group needs one bare base slot (no ~, no
 primes, no flags); the first such slot carries the group's base word.
 
-The literal text "a(n)" is an article marker: generation resolves it
-against the following word, detection accepts exactly one "a" or "an".
+The literal text "a(n)" is an article marker: generation prints "a" or
+"an" by the word after it, detection accepts exactly one "a" or "an".
 Each slot and marker must read as a word of its own: a template whose
 literal text would glue onto one ("x{N}", "{N}'s", "a(n)x") is rejected.
 A Schema accepts only the tokens its template text parses back to, so
 tokens built by hand pass the parser's checks when the Schema is built.
 
 Each schema compiles once, on first use, to a CompiledSchema kept on the
-instance. Its `pieces`, the template split once at slots and markers,
-are what generation fills and what detection's anchored regex is built from.
+instance: the template split once at slots and markers, from which both
+detection's anchored regex and generation's render plan are built.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .lexicon import WORD_PATTERN, PartOfSpeech, _data_rows
-from .morphology import DERIVATION_RULES, Derivation
+from .morphology import DERIVATION_RULES, Derivation, indefinite_article
 
 ARTICLE_MARKER_RE = re.compile(r"([Aa]\(n\))")     # the group keeps markers in a split
 ARTICLE_MARKERS = ("a(n)", "A(n)")
@@ -52,6 +52,7 @@ BAD_DERIVATION_FLAG = "bad-derivation-flag"
 GROUP_CONFLICT = "group-conflict"
 MISSING_BASE = "missing-base"
 GLUED_SLOT = "glued-slot"
+EMPTY_TEMPLATE = "empty-template"
 
 
 class TemplateError(ValueError):
@@ -110,6 +111,9 @@ class Schema:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tokens, tuple):
+            raise TypeError(f"class {self.class_id!r}: tokens must be a tuple, "
+                            f"not {type(self.tokens).__name__}")
         if parse_template(text := render_tokens(self.tokens)) != self.tokens:
             raise ValueError(f"class {self.class_id!r}: tokens are not what {text!r} parses to")
 
@@ -172,14 +176,16 @@ class Binding(NamedTuple):
     realized: tuple[str, ...]
 
 
+PlanPiece = str | int | tuple[int, bool, bool]     # see CompiledSchema.plan
 _SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
 
 
 class CompiledSchema(NamedTuple):
     """What generation and detection need of a schema, worked out once.
 
-    `pieces` is the template split once at its slots and article markers:
-    literal text, the marker texts of ARTICLE_MARKERS, and slot ordinals.
+    `plan` is what generation prints, in order: literal text, the ordinal of
+    a slot whose fill goes there as it is, or a (slot, article, capitalised)
+    triple for the fill's indefinite article or the fill, upper-cased first.
 
     `regex` is matched against a sentence's normalized tokens joined by
     single spaces. Each element is one space-separated part: an escaped
@@ -194,7 +200,7 @@ class CompiledSchema(NamedTuple):
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
     checks: tuple[tuple[int, RelationCheck, int], ...]  # (slot, check, base slot) per non-base slot
-    pieces: tuple[str | int, ...]
+    plan: tuple[PlanPiece, ...]
     regex: re.Pattern[str]
     required: frozenset[str]
     rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
@@ -233,11 +239,42 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
         groups=groups,
         checks=tuple((i, RelationCheck(s.symbol, s.relation, s.derivations), base_of[s.group_id])
                      for i, s in enumerate(specs) if i != base_of[s.group_id]),
-        pieces=tuple(pieces),
+        plan=_render_plan(pieces),
         regex=re.compile(" ".join(parts)),
         required=frozenset(required),
         rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
     )
+
+
+def _render_plan(pieces: Sequence[str | int]) -> tuple[PlanPiece, ...]:
+    """The split template as generation prints it, literal runs merged. An
+    article marker, and the sentence's first letter or digit, are resolved
+    here where literal text decides them. Where a slot's fill does, a triple
+    stands in: every fill is a WORD_PATTERN lexicon word, a form derived from
+    one or "not to <verb>", so its first character is a letter or digit."""
+    plan: list[PlanPiece] = []
+    capital = True                      # no letter or digit printed yet
+    for k, piece in enumerate(pieces):
+        if piece in ARTICLE_MARKERS:
+            # A later marker's text starts with the letter its article starts with.
+            start = next((p if isinstance(p, int) else p.lstrip()[0]
+                          for p in pieces[k + 1:] if isinstance(p, int) or p.strip()), "")
+            upper, capital = capital or piece == "A(n)", False
+            if isinstance(start, int):
+                piece = (start, True, upper)
+            else:
+                article = indefinite_article(start) if start else "a"
+                piece = article.capitalize() if upper else article
+        elif isinstance(piece, int):
+            piece, capital = ((piece, False, True) if capital else piece), False
+        elif capital:       # [^\W_] is what str.isalnum() accepts
+            piece, found = re.subn(r"[^\W_]", lambda m: m[0].upper(), piece, count=1)
+            capital = not found
+        if isinstance(piece, str) and plan and isinstance(plan[-1], str):
+            plan[-1] += piece
+        else:
+            plan.append(piece)
+    return tuple(plan)
 
 
 _FLAGS = {d.value: d for d in Derivation}
@@ -297,7 +334,7 @@ def _group_ids(slots: list[tuple[PartOfSpeech, int | None]]) -> list[int]:
 def parse_template(dsl: str) -> tuple[Token, ...]:
     """Parse template text to a token sequence.
 
-    Rejected templates raise TemplateError: stray or unclosed braces,
+    Rejected templates raise TemplateError: blank text, stray or unclosed braces,
     unknown slot symbols, bad derivation flags, two slots with no
     literal text between them, groups mixing symbols, groups without a
     bare base slot, and literal text glued onto a slot or article marker,
@@ -305,6 +342,8 @@ def parse_template(dsl: str) -> tuple[Token, ...]:
     of its own. The first error from the left wins, then group
     conflicts, then missing bases, then glued text.
     """
+    if not normalize(dsl):
+        raise TemplateError(EMPTY_TEMPLATE, "template has no slot and no word")
     parts: list[LiteralToken | _SlotFields] = []
     for m in _PIECE_RE.finditer(dsl):
         body, text = m.group(1), m.group()

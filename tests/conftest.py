@@ -146,3 +146,18 @@ def with_article(rng: random.Random, dsl: str) -> str:
     if not words or rng.random() < 0.5:
         return dsl
     return re.sub(rf"(?<= ){rng.choice(words)}(?= )", "a(n)", dsl, count=1)
+
+
+def with_edges(rng: random.Random, dsl: str) -> str:
+    """The template at times opening with an article marker before its
+    first slot ("A(n) {N} ...") or with punctuation, and at times ending
+    in a marker, so that the sentence's first letter and a marker's next
+    word come from every kind of neighbour."""
+    roll = rng.random()
+    if roll < 0.25:
+        dsl = rng.choice(("A(n) ", "a(n) ")) + re.sub(r"^[A-Z][a-z]* ", "", dsl)
+    elif roll < 0.5:
+        dsl = rng.choice(("— ", "\"", "(", "... ", "¿", "'")) + dsl
+    if rng.random() < 0.3:
+        dsl = dsl.removesuffix(".") + rng.choice((" a(n)", " A(n)", ", a(n)."))
+    return dsl

@@ -5,7 +5,8 @@ import pytest
 from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
                       PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, generate,
                       generate_batch, parse_lexicon, parse_template, sub_seed)
-from antinomy.generator import _capitalize_first, _render
+from antinomy.generator import _fill
+from antinomy.schema import _render_plan
 
 N = PartOfSpeech.NOUN
 
@@ -176,13 +177,13 @@ def test_capitalized_article_marker():
 
 
 def test_article_marker_in_a_slot_fill_is_printed_as_it_is():
-    # No lexicon holds a word such as "ba(n)d", so the renderer gets it directly.
+    # No lexicon holds a word such as "ba(n)d", so the plan is filled with it directly.
     with pytest.raises(ValueError, match="is not a lexicon word"):
         Lexicon({("ba(n)d", N): LexEntry("ba(n)d", N, frozenset(), frozenset())})
-    pieces = make_schema("10", "{N} without {N}.").compiled.pieces
-    assert _capitalize_first(_render(pieces, ["ba(n)d"] * 2)) == "Ba(n)d without ba(n)d."
-    pieces = make_schema("u", "A(n) {N} is a(n) {N}.").compiled.pieces
-    assert _render(pieces, ["ba(n)d"] * 2) == "A ba(n)d is a ba(n)d."
+    plan = make_schema("10", "{N} without {N}.").compiled.plan
+    assert _fill(plan, ["ba(n)d"] * 2) == "Ba(n)d without ba(n)d."
+    plan = make_schema("u", "A(n) {N} is a(n) {N}.").compiled.plan
+    assert _fill(plan, ["ba(n)d"] * 2) == "A ba(n)d is a ba(n)d."
 
 
 def test_first_letter_is_capitalized():
@@ -292,9 +293,11 @@ def test_full_registry_runs_on_bundled_lexicon(demo_lexicon, registry):
 
 def test_braces_in_literal_text_render_verbatim():
     # No Schema holds literal braces, as the template parser rejects them,
-    # so the renderer gets them directly.
+    # so the render plan is built from the split template directly.
     slot = parse_template("{A}")[0]
     assert isinstance(slot, SlotToken)
     with pytest.raises(ValueError, match="brace"):
         Schema("u", SchemaKind.PARADOX, (LiteralToken("{x} is "), slot, LiteralToken(" }")))
-    assert _capitalize_first(_render(("{x} is ", 0, " }"), ["possible"])) == "{X} is possible }"
+    plan = _render_plan(("{x} is ", 0, " }"))
+    assert plan == ("{X} is ", 0, " }")
+    assert _fill(plan, ["possible"]) == "{X} is possible }"

@@ -1,7 +1,10 @@
 """Differential test: `generate` over compiled schemas and stored lexicon
 pools against the per-sentence version it replaced, which is kept here
 as the reference, and against the article resolution it replaced, which
-is kept here too and applied to each literal token."""
+is kept here too and applied to each literal token. Lexicons come from
+seeded random sources and from hypothesis strategies, overrides from
+both, and templates at times open with a marker or punctuation or end
+in a marker."""
 from __future__ import annotations
 
 import random
@@ -11,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (BadOverrideError, Binding, GeneratedSentence, Lexicon,
+from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
                       SlotSpec, SplitMix64, apply_derivations, generate,
                       generate_batch, indefinite_article, negated_infinitive,
                       parse_lexicon, parse_template, sub_seed)
-from antinomy.generator import _capitalize_first
 from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken
 from conftest import (hand_built_entries, random_lexicon_source, random_template,
-                      with_article)
+                      with_article, with_edges)
+from test_render_oracle import capitalize_first
 
 
 def reference_fix_articles(text: str, rest: str) -> str:
@@ -97,7 +100,7 @@ def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
              for token in schema.tokens]
     # Only the template's literal text holds article markers; a slot fill
     # is printed as it is, and the text after a marker reads unresolved.
-    sentence = _capitalize_first("".join(
+    sentence = capitalize_first("".join(
         reference_fix_articles(part, "".join(parts[k + 1:]))
         if isinstance(token, LiteralToken) else part
         for k, (token, part) in enumerate(zip(schema.tokens, parts))))
@@ -156,12 +159,53 @@ def test_generate_matches_reference(seed, demo_lexicon, registry):
     else:
         lexicon = random_lexicon(rng)
         schema = Schema("u", SchemaKind.PARADOX,
-                        parse_template(with_article(rng, random_template(rng))))
+                        parse_template(with_edges(rng, with_article(rng, random_template(rng)))))
     for _ in range(6):
         item_seed = rng.getrandbits(64)
         overrides = random_overrides(rng, lexicon, schema) if rng.random() < 0.5 else None
         assert (outcome(generate, lexicon, schema, item_seed, overrides)
                 == outcome(reference_generate, lexicon, schema, item_seed, overrides))
+
+
+# Words open with a vowel, a consonant, an "h" or a digit, so articles and
+# capitals meet each kind; one letter words have odd derived forms ("e" -> "ing").
+_WORDS = st.from_regex(r"[aehioux07]{1,3}(?:-[a-z]{1,2})?", fullmatch=True)
+
+
+@st.composite
+def lexicons(draw) -> Lexicon:
+    """A `Lexicon` built from drawn entries: each word's synonyms and
+    antonyms are any words of its part of speech, itself among them, and
+    antonym links need not go both ways."""
+    keys = draw(st.lists(st.tuples(_WORDS, st.sampled_from(PartOfSpeech)),
+                         unique=True, max_size=10))
+    entries = {}
+    for word, pos in keys:
+        same = [w for w, p in keys if p is pos]
+        synonyms, antonyms = (frozenset(draw(st.lists(st.sampled_from(same), max_size=3)))
+                              for _ in range(2))
+        entries[(word, pos)] = LexEntry(word, pos, synonyms, antonyms)
+    return Lexicon(entries)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(min_value=0, max_value=2 ** 32))
+def test_generate_matches_reference_on_drawn_lexicons(data, template_seed):
+    lexicon = data.draw(lexicons())
+    rng = random.Random(template_seed)
+    schema = Schema("u", SchemaKind.PARADOX,
+                    parse_template(with_edges(rng, with_article(rng, random_template(rng)))))
+    words = [w for pos in PartOfSpeech for w in lexicon.words(pos)] + ["gleeb"]
+    word = st.sampled_from(words) | st.sampled_from(words).map(str.upper)
+    for _ in range(4):
+        overrides = data.draw(st.dictionaries(st.integers(0, 9), word, max_size=2))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 64 - 1))
+        expected = outcome(reference_generate, lexicon, schema, seed, overrides)
+        assert outcome(generate, lexicon, schema, seed, overrides) == expected
+        if expected[0] == "ok":
+            # What the compiled render plan relies on.
+            assert all(f[0].isalnum() and not f[0].isupper()
+                       for f in expected[1].binding.realized)
 
 
 def test_generate_compiles_each_schema_once(demo_lexicon, monkeypatch):

@@ -1,9 +1,10 @@
 """Differential test: the regex template parser and its one group-numbering
 rule against the character scanner they replaced, which is kept here as
-the reference. The reference carries two intended changes: a group id
+the reference. The reference carries three intended changes: a group id
 must be an ASCII digit (the scanner took any character `str.isdigit`
-accepts), and a template whose literal text glues onto a slot or an
-article marker is refused as `glued-slot` (the scanner accepted it)."""
+accepts), a template whose literal text glues onto a slot or an article
+marker is refused as `glued-slot`, and a blank template, with no slot and
+no word, as `empty-template` (the scanner accepted both)."""
 from __future__ import annotations
 
 import random
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from antinomy import (Derivation, LiteralToken, PartOfSpeech, Relation, SlotSpec,
                       SlotToken, TemplateError, normalize, parse_template, render_tokens)
-from antinomy.schema import (ADJACENT_SLOTS, BAD_DERIVATION_FLAG, GLUED_SLOT, GROUP_CONFLICT,
-                             MISSING_BASE, UNBALANCED_BRACES, UNKNOWN_SYMBOL, Token)
+from antinomy.schema import (ADJACENT_SLOTS, BAD_DERIVATION_FLAG, EMPTY_TEMPLATE, GLUED_SLOT,
+                             GROUP_CONFLICT, MISSING_BASE, UNBALANCED_BRACES, UNKNOWN_SYMBOL,
+                             Token)
 
 _FLAGS = {d.value: d for d in Derivation}
 
@@ -104,6 +106,8 @@ def reference_glued(tokens: list[Token]) -> bool:
 
 
 def reference_parse(dsl: str) -> tuple[Token, ...]:
+    if dsl.isspace() or not dsl:     # the third change
+        raise TemplateError(EMPTY_TEMPLATE, "template has no slot and no word")
     raw: list[LiteralToken | RawSlot] = []
     i = 0
     literal_start = 0

@@ -122,6 +122,9 @@ def test_single_space_is_a_valid_separator():
     ("It is a(n)x {N}.", schema_mod.GLUED_SLOT),
     ("{N} is A(n){N'}.", schema_mod.GLUED_SLOT),
     ("{~A} glued{A'}.", schema_mod.MISSING_BASE),
+    ("", schema_mod.EMPTY_TEMPLATE),
+    ("   ", schema_mod.EMPTY_TEMPLATE),
+    ("\t\u2028", schema_mod.EMPTY_TEMPLATE),
 ])
 def test_rejected_templates(dsl, kind):
     with pytest.raises(TemplateError) as err:
@@ -207,9 +210,25 @@ def test_a_schema_is_built_only_from_tokens_that_read_back(tokens, seed):
         out = generate(lexicon, schema, rng.getrandbits(64))
     except GenerateError:
         return
-    if normalize(out.sentence):     # a template may hold no word at all
-        ranked = classify(lexicon, [schema], out.sentence)
-        assert ranked and ranked[0].score == 1.0, out.sentence
+    ranked = classify(lexicon, [schema], out.sentence)
+    assert ranked and ranked[0].score == 1.0, out.sentence
+
+
+def test_a_template_without_a_slot_or_a_word_is_refused():
+    # It would print a blank sentence, which classify reads as nothing.
+    with pytest.raises(TemplateError, match="^template has no slot and no word$") as err:
+        Schema("u", SchemaKind.PARADOX, ())
+    assert err.value.kind == schema_mod.EMPTY_TEMPLATE
+    with pytest.raises(TemplateError) as err:
+        load_catalog("1\tparadox\t{N} without {N}.\n2\tparadox\t \tblank template\n")
+    assert err.value.kind == schema_mod.EMPTY_TEMPLATE
+    # A template of punctuation alone still holds a word.
+    assert parse_template(" . ") == (LiteralToken(" . "),)
+
+
+def test_tokens_given_as_a_list_are_refused_by_type():
+    with pytest.raises(TypeError, match="^class 'u': tokens must be a tuple, not list$"):
+        Schema("u", SchemaKind.PARADOX, list(parse_template("{N} without {N}.")))
 
 
 def test_hand_built_schema_without_a_base_slot_raises_the_parsers_error(demo_lexicon):
