@@ -238,7 +238,8 @@ def _parse_overrides(slot_options: tuple[str, ...]) -> dict[int, str]:
     overrides: dict[int, str] = {}
     for option in slot_options:
         group_text, sep, word = option.partition("=")
-        group = int(group_text) if sep and group_text.isdecimal() and word else None
+        digits = group_text.isascii() and group_text.isdecimal()
+        group = int(group_text) if sep and digits and word else None
         if group is None:
             error = f"bad --slot {option!r}, expected GROUP=WORD"
         elif group in overrides:

@@ -25,10 +25,10 @@ instead:
   of its schemas require, and one set intersection per line picks the
   schemas to test in full; a schema with no literal token is always
   tried. Schemas with one regex share it, so each regex runs at most
-  once per line. The plan of the last registry *tuple* classified is
-  kept until another tuple is classified; a list may change, so its
-  plan is built per call, and `match_schema` builds its own one-schema
-  plan without replacing the kept one.
+  once per line. Any registry is read into a tuple, and the last plan
+  is kept while the next registry holds the same schemas in the same
+  order; `match_schema` builds its own one-schema plan without
+  replacing the kept one.
 - Relations. The forms a check accepts against a known base, the set
   words or for a derived slot their derived forms, each with its
   evidence kind, form one table per (base, RelationCheck). It is built
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import (agentive_bases, apply_derivations, gerund_bases,
@@ -178,22 +178,19 @@ def _build_plan(registry: tuple[Schema, ...]) -> _Plan:
                  tuple(always))
 
 
-# The plan of the last registry tuple classified. A tuple of schemas cannot
-# change, and the plan holds it, so its identity cannot be reused.
 _last_plan: _Plan | None = None
 
 
-def _plan_for(registry: Sequence[Schema]) -> _Plan:
-    """The cached plan when `registry` is the tuple it was built for; else
-    a new plan, cached in its place when `registry` is a tuple. A list
-    may change between calls, so its plan is built per call."""
+def _plan_for(registry: Iterable[Schema]) -> _Plan:
+    """The plan for `registry` read into a tuple: the kept plan while the
+    tuple holds equal schemas in the same order, else a new plan. The kept
+    plan then holds this tuple, which cannot change under it."""
     global _last_plan
-    plan = _last_plan
-    if plan is not None and plan.registry is registry:
-        return plan
-    if not isinstance(registry, tuple):
-        return _build_plan(tuple(registry))
-    plan = _last_plan = _build_plan(registry)
+    schemas, plan = tuple(registry), _last_plan
+    if plan is None or plan.registry is not schemas:
+        plan = _last_plan = (_Plan(schemas, plan.index, plan.always)
+                             if plan is not None and plan.registry == schemas
+                             else _build_plan(schemas))
     return plan
 
 
@@ -230,7 +227,7 @@ def match_schema(lexicon: Lexicon, schema: Schema, sentence: str,
     return found[0] if found else None
 
 
-def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
+def classify(lexicon: Lexicon, registry: Iterable[Schema], sentence: str,
              sentence_index: int = 0) -> list[Detection]:
     """All matching schemas, best first.
 
@@ -242,26 +239,27 @@ def classify(lexicon: Lexicon, registry: Sequence[Schema], sentence: str,
     return _classify(lexicon, _plan_for(registry), tokens, sentence_index) if tokens else []
 
 
-def iter_scan(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[str],
+def iter_scan(lexicon: Lexicon, registry: Iterable[Schema], lines: Iterable[str],
               min_score: float = 0.5) -> Iterator[tuple[int, str, list[Detection]]]:
     """Classify each line as it is read: per line, `(index, line, kept)`,
     where `kept` holds the line's detections scoring at or above
     min_score, best first, and may be empty. The registry is read into a
-    tuple once, as the first line is read, so the scan builds one plan."""
+    tuple once, so a one-shot iterable serves every line and each line
+    finds the kept plan by identity."""
     registry = tuple(registry)
     for index, line in enumerate(lines):
         yield index, line, [d for d in classify(lexicon, registry, line, sentence_index=index)
                             if d.score >= min_score]
 
 
-def scan_corpus(lexicon: Lexicon, registry: Sequence[Schema], lines: Iterable[str],
+def scan_corpus(lexicon: Lexicon, registry: Iterable[Schema], lines: Iterable[str],
                 min_score: float = 0.5) -> tuple[list[Detection], dict[str, int]]:
     """`iter_scan` collected: every kept detection, and a count table.
 
-    The count table tallies each line's top kept detection only, so one
-    line increments one class, and starts at zero for every registry
-    class.
+    The count table starts at zero for every registry class and tallies
+    each line's top kept detection only, so one line increments one class.
     """
+    registry = tuple(registry)
     counts = {schema.class_id: 0 for schema in registry}
     detections: list[Detection] = []
     for _, _, kept in iter_scan(lexicon, registry, lines, min_score):

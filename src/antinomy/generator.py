@@ -13,7 +13,7 @@ the same items into lists.
 """
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
@@ -180,7 +180,7 @@ def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],
     return per_schema
 
 
-def iter_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int, count: int,
+def iter_batch(lexicon: Lexicon, schemas: Iterable[Schema], seed: int, count: int,
                overrides: Mapping[int, str] | None = None
                ) -> Iterator[GeneratedSentence | SkippedSchema]:
     """Generate `count` sentences per schema, one at a time.
@@ -194,6 +194,7 @@ def iter_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int, count: in
     the first item is made: one that no selected group accepts raises
     BadOverrideError here, also when count is 0.
     """
+    schemas = tuple(schemas)
     per_schema = _overrides_per_schema(lexicon, schemas, overrides or {})
     return _batch_items(lexicon, schemas, per_schema, seed, count)
 
@@ -212,7 +213,7 @@ def _batch_items(lexicon: Lexicon, schemas: Sequence[Schema],
             yield sentence
 
 
-def generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,
+def generate_batch(lexicon: Lexicon, schemas: Iterable[Schema], seed: int,
                    count: int, overrides: Mapping[int, str] | None = None) -> BatchResult:
     """`iter_batch` collected: its sentences and its skips, each in order."""
     items = list(iter_batch(lexicon, schemas, seed, count, overrides))

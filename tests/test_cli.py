@@ -104,7 +104,8 @@ def test_generate_seed_changes_output():
     assert one.stdout != two.stdout
 
 
-@pytest.mark.parametrize("option", ["noequals", "0=", "=word", "x=word", "1.5=word", "²=word"])
+@pytest.mark.parametrize("option", ["noequals", "0=", "=word", "x=word", "1.5=word", "²=word",
+                                    "٣=word"])
 def test_generate_bad_slot_syntax(option, lex_file):
     res = runner.invoke(main, ["generate", "--lexicon", lex_file,
                                "--class", "1", "--slot", option])

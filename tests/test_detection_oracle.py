@@ -2,9 +2,13 @@
 per-(base, slot) accepted-forms tables against the loop and the relation
 check they replaced, which are kept here as the oracle. The oracle tries
 every schema of the registry in order, runs each schema's regex, and for
-each check reads the lexicon's pools again and derives every pool word.
-Then the caches' own safety: a list registry is read afresh, a one-schema
-match keeps the cached plan, and unknown words leave the memo as it was."""
+each check reads the lexicon's pools again and derives every pool word,
+for list and tuple registries alike. Then the caches' own safety. The kept
+plan serves any registry that holds equal schemas in the same order: one
+list classified again, a list and a tuple of the same schemas, and equal
+copies of them share one plan, while a changed list gets a new one. A
+one-schema match leaves the kept plan in place, and unknown words leave the
+memo as it was."""
 from __future__ import annotations
 
 import random
@@ -16,9 +20,9 @@ from hypothesis import strategies as st
 
 from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, Lexicon,
                       PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, Binding,
-                      apply_derivations, classify, detector, generate, iter_batch,
-                      iter_scan, match_schema, negated_infinitive, normalize,
-                      parse_lexicon, parse_template)
+                      apply_derivations, classify, detector, dump_catalog, generate,
+                      iter_batch, iter_scan, load_catalog, match_schema, negated_infinitive,
+                      normalize, parse_lexicon, parse_template)
 from antinomy.morphology import agentive_bases, gerund_bases, plural_bases
 from antinomy.schema import CompiledSchema
 from conftest import random_template, with_article
@@ -183,6 +187,46 @@ def test_match_schema_keeps_the_cached_plan(demo_lexicon, registry, monkeypatch)
     assert classify(demo_lexicon, registry, HELL)[0].class_id == "10"
     assert detector._last_plan is plan
     assert built == [(one,)]
+
+
+def count_plans(monkeypatch) -> list[tuple[Schema, ...]]:
+    """Forget the kept plan, and record each registry a plan is built for."""
+    monkeypatch.setattr(detector, "_last_plan", None)
+    built: list[tuple[Schema, ...]] = []
+    build = detector._build_plan
+    monkeypatch.setattr(detector, "_build_plan",
+                        lambda schemas: built.append(schemas) or build(schemas))
+    return built
+
+
+def test_repeated_calls_over_one_list_build_one_plan(demo_lexicon, registry, monkeypatch):
+    built = count_plans(monkeypatch)
+    schemas = list(registry)
+    for _ in range(3):
+        assert classify(demo_lexicon, schemas, HELL)[0].class_id == "10"
+    assert built == [registry]
+
+
+def test_a_list_and_a_tuple_of_the_same_schemas_share_one_plan(demo_lexicon, registry,
+                                                              monkeypatch):
+    built = count_plans(monkeypatch)
+    for passed in (list(registry), registry, list(registry), registry):
+        assert classify(demo_lexicon, passed, HELL)[0].class_id == "10"
+    assert len(built) == 1
+    assert detector._last_plan.registry is registry
+
+
+def test_equal_schemas_reuse_the_kept_plan(registry, monkeypatch):
+    copies = load_catalog(dump_catalog(registry))
+    assert copies == registry and not any(a is b for a, b in zip(copies, registry))
+    lexicon = fresh_demo_lexicon()
+    lines = [s.sentence for s in iter_batch(lexicon, registry, 3, 2)] + [HELL, "Nothing."]
+    built = count_plans(monkeypatch)
+    expected = [classify(lexicon, registry, line, index) for index, line in enumerate(lines)]
+    assert [classify(lexicon, copies, line, index)
+            for index, line in enumerate(lines)] == expected
+    assert [found for _, _, found in iter_scan(lexicon, copies, lines, 0.0)] == expected
+    assert built == [registry]
 
 
 def test_unknown_words_leave_the_memo_as_it_was(registry):

@@ -101,6 +101,21 @@ def test_golden_corpus_scans_as_the_list_building_scan(demo_lexicon, registry):
                                          min_score)
 
 
+def test_scan_corpus_reads_a_one_shot_registry_once(demo_lexicon, registry):
+    lines = ["Hell without hell.", "Nothing."]
+    expected = scan_corpus(demo_lexicon, registry, lines)
+    assert [d.class_id for d in expected[0]] == ["10"] and expected[1]["10"] == 1
+    assert scan_corpus(demo_lexicon, (s for s in registry), lines) == expected
+
+
+def test_iter_batch_reads_a_one_shot_registry_once(demo_lexicon, registry):
+    expected = list(iter_batch(demo_lexicon, registry, 5, 2, {0: "car"}))
+    assert len(expected) == 2 * len(registry)
+    assert list(iter_batch(demo_lexicon, (s for s in registry), 5, 2, {0: "car"})) == expected
+    batch = generate_batch(demo_lexicon, registry, 5, 2)
+    assert batch.sentences and generate_batch(demo_lexicon, (s for s in registry), 5, 2) == batch
+
+
 OPPOSITES_SOURCE = "possible\tA\t\timpossible\nimpossible\tA\t\tpossible\n"
 OPPOSITES = parse_lexicon(OPPOSITES_SOURCE)
 
