@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from functools import partial
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NoReturn, TextIO
@@ -207,22 +207,17 @@ def _write_errors_exit_1(stream: TextIO) -> Iterator[None]:
 
 
 def _echo_lines(stream: TextIO, lines: Iterable[str]) -> None:
-    """Write each line with its newline to `stream`, verbatim, in batches
-    of up to _ECHO_BATCH lines as `lines` yields them, and flush once at
-    the end. The bytes are the same on a terminal and on a pipe (click's
-    echo strips terminal escapes from a pipe only), and a generator's
-    lines are written while it runs, never all held at once. No lines
-    write nothing. An error raised by `lines` itself passes through."""
-    batch: list[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) == _ECHO_BATCH:
-            with _write_errors_exit_1(stream):
-                stream.write("\n".join(batch) + "\n")
-            batch.clear()
-    with _write_errors_exit_1(stream):
-        if batch:
+    """Write each line with its newline to `stream`, verbatim: one write
+    per batch of up to _ECHO_BATCH lines taken from `lines` until a batch
+    comes back empty, then one flush. The bytes are the same on a terminal
+    and on a pipe (click's echo strips terminal escapes from a pipe only),
+    and a generator's lines are written while it runs, never all held at
+    once. No lines write nothing. An error raised by `lines` passes through."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _ECHO_BATCH)):
+        with _write_errors_exit_1(stream):
             stream.write("\n".join(batch) + "\n")
+    with _write_errors_exit_1(stream):
         stream.flush()
 
 

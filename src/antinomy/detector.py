@@ -219,11 +219,8 @@ def _classify(lexicon: Lexicon, plan: _Plan, tokens: tuple[str, ...],
 
 def match_schema(lexicon: Lexicon, schema: Schema, sentence: str,
                  sentence_index: int = 0) -> Detection | None:
-    """Match one schema against one sentence; None when the skeleton is absent."""
-    tokens = normalize(sentence)
-    if not tokens:
-        return None
-    found = _classify(lexicon, _build_plan((schema,)), tokens, sentence_index)
+    """Match one schema against one sentence; None when its skeleton is absent, as in a blank one."""
+    found = _classify(lexicon, _build_plan((schema,)), normalize(sentence), sentence_index)
     return found[0] if found else None
 
 
@@ -233,10 +230,10 @@ def classify(lexicon: Lexicon, registry: Iterable[Schema], sentence: str,
 
     Ranking: score, then literal token count (more anchoring text wins),
     then the natural class id order, so byte-identical patterns resolve
-    to the lower id, then registry order.
+    to the lower id, then registry order. A sentence with no token, such
+    as a blank line, matches nothing: each regex needs a character.
     """
-    tokens = normalize(sentence)
-    return _classify(lexicon, _plan_for(registry), tokens, sentence_index) if tokens else []
+    return _classify(lexicon, _plan_for(registry), normalize(sentence), sentence_index)
 
 
 def iter_scan(lexicon: Lexicon, registry: Iterable[Schema], lines: Iterable[str],

@@ -17,8 +17,6 @@ import re
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple
 
-POS_LETTERS = ("N", "V", "A")
-
 # A word is one token of `schema.normalize`, so `detect` binds what `generate` prints.
 WORD_PATTERN = r"[a-z0-9]+(?:['\-][a-z0-9]+)*"
 _WORD_RE = re.compile(WORD_PATTERN)
@@ -239,11 +237,11 @@ def parse_lexicon(source: str) -> Lexicon | ValidationReport:
         if bad:
             defects.append(MalformedLine(line_no, f"bad word {bad[0]!r}"))
             continue
-        pos_text = fields[1].strip().upper()
-        if pos_text not in POS_LETTERS:
+        try:
+            pos = PartOfSpeech(fields[1].strip().upper())
+        except ValueError:
             defects.append(MalformedLine(line_no, f"bad pos {fields[1]!r}"))
             continue
-        pos = PartOfSpeech(pos_text)
         key = (surface, pos)
         if key in parsed:
             defects.append(DuplicateEntry(surface, pos, line_no))

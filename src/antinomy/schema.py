@@ -249,9 +249,10 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
 def _render_plan(pieces: Sequence[str | int]) -> tuple[PlanPiece, ...]:
     """The split template as generation prints it, literal runs merged. An
     article marker, and the sentence's first letter or digit, are resolved
-    here where literal text decides them. Where a slot's fill does, a triple
-    stands in: every fill is a WORD_PATTERN lexicon word, a form derived from
-    one or "not to <verb>", so its first character is a letter or digit."""
+    here where literal text decides them, a letter upper-cased only where
+    `normalize` reads it the same ("ß" stays). Where a slot's fill does, a
+    triple stands in: every fill is a WORD_PATTERN lexicon word, a form derived
+    from one or "not to <verb>", so its first character is a letter or digit."""
     plan: list[PlanPiece] = []
     capital = True                      # no letter or digit printed yet
     for k, piece in enumerate(pieces):
@@ -268,7 +269,8 @@ def _render_plan(pieces: Sequence[str | int]) -> tuple[PlanPiece, ...]:
         elif isinstance(piece, int):
             piece, capital = ((piece, False, True) if capital else piece), False
         elif capital:       # [^\W_] is what str.isalnum() accepts
-            piece, found = re.subn(r"[^\W_]", lambda m: m[0].upper(), piece, count=1)
+            upper, found = re.subn(r"[^\W_]", lambda m: m[0].upper(), piece, count=1)
+            piece = upper if normalize(upper) == normalize(piece) else piece
             capital = not found
         if isinstance(piece, str) and plan and isinstance(plan[-1], str):
             plan[-1] += piece
@@ -331,6 +333,7 @@ def _group_ids(slots: list[tuple[PartOfSpeech, int | None]]) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def parse_template(dsl: str) -> tuple[Token, ...]:
     """Parse template text to a token sequence.
 
@@ -340,7 +343,8 @@ def parse_template(dsl: str) -> tuple[Token, ...]:
     bare base slot, and literal text glued onto a slot or article marker,
     so that a one-word fill or the marker would not read back as a word
     of its own. The first error from the left wins, then group
-    conflicts, then missing bases, then glued text.
+    conflicts, then missing bases, then glued text. Accepted texts are
+    memoised in a bounded cache keyed by the text; the tokens are immutable.
     """
     if not normalize(dsl):
         raise TemplateError(EMPTY_TEMPLATE, "template has no slot and no word")

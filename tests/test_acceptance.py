@@ -70,21 +70,24 @@ def test_criterion_2_generate_detect_round_trip(demo_lexicon, registry):
 def test_criterion_3_golden_corpus(demo_lexicon, registry):
     with criterion(3, "golden corpus", 5.0):
         conforming = 0
-        excluded = 0
+        unanchored = below_floor = 0
         text = (resources.files("antinomy") / "data" / "golden_corpus.tsv").read_text()
         for line in text.splitlines():
             if not line.strip() or line.startswith("#"):
                 continue
             class_id, label, sentence = line.split("\t")
+            ranked = classify(demo_lexicon, registry, sentence)
             if label == "N":
-                excluded += 1
+                # No nonconforming line keeps a detection at detect's default 0.5.
+                assert not ranked or ranked[0].score < 0.5, (sentence, ranked[:1])
+                unanchored += not ranked
+                below_floor += bool(ranked)
                 continue
             conforming += 1
-            ranked = classify(demo_lexicon, registry, sentence)
             assert ranked and ranked[0].class_id == class_id, (sentence, ranked[:1])
             assert ranked[0].score == 1.0, sentence
         assert conforming >= 40
-        assert excluded > 0  # nonconforming lines are present and counted
+        assert (unanchored, below_floor) == (86, 64)
 
 
 def test_criterion_4_cli_determinism():

@@ -6,6 +6,7 @@ import os
 import pty
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -624,3 +625,30 @@ def test_detect_survives_arbitrary_bytes(data, fmt):
         assert res.exit_code == 1 and res.stderr.startswith("error:")
     else:
         assert res.exit_code == 0, res.stderr
+
+
+# Lexicon file bytes: arbitrary, or rows over near misses (bad parts of
+# speech, words that are not lexicon words, too few or too many fields),
+# so that a rejected, a repaired and an accepted lexicon all come up.
+_LEXICON_FIELD = st.sampled_from(["hot", "cold", "Hot", "run", "two words", "",
+                                  " n ", "V", "A", "X", "cold,hot"]) | st.text(max_size=3)
+_LEXICON_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(_LEXICON_FIELD, min_size=1, max_size=5).map("\t".join), max_size=6)
+    .map(lambda rows: "\n".join(rows).encode()),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=_LEXICON_BYTES)
+def test_every_command_survives_an_arbitrary_lexicon_file(data):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "fuzz.lex")
+        Path(path).write_bytes(data)
+        for args in (["generate", "--lexicon", path, "--count", "1"],
+                     ["detect", "--lexicon", path], ["lexicon", "validate", path]):
+            res = runner.invoke(main, args, input="")
+            error = res.exception
+            assert error is None or isinstance(error, SystemExit), (args, repr(error))
+            assert res.exit_code in (0, 1, 2), args
+            assert res.exit_code == 0 or (res.stdout + res.stderr).strip(), args

@@ -109,7 +109,8 @@ def random_class_id(rng: random.Random) -> str:
 
 def random_registry(rng: random.Random, registry) -> list[Schema]:
     """User schemas, one with the template of another under its own id and
-    one under the id of another, and a few built-ins, shuffled."""
+    one under the id of another, at times one with no literal token, which
+    every line tries, and a few built-ins, shuffled."""
     dsls = [with_article(rng, random_template(rng)) for _ in range(rng.randint(1, 4))]
     schemas = [Schema(random_class_id(rng), SchemaKind.PARADOX, parse_template(dsl))
                for dsl in dsls]
@@ -117,6 +118,9 @@ def random_registry(rng: random.Random, registry) -> list[Schema]:
                           parse_template(rng.choice(dsls))))
     schemas.append(Schema(rng.choice(schemas).class_id, SchemaKind.PARADOX,
                           parse_template(random_template(rng))))
+    if rng.random() < 0.5:
+        schemas.append(Schema(random_class_id(rng), SchemaKind.PARADOX,
+                              parse_template(rng.choice(("{N}", "{N} a(n) {~N}")))))
     schemas += rng.sample(registry, 4)
     rng.shuffle(schemas)
     return schemas
@@ -130,7 +134,7 @@ def test_classify_matches_the_oracle(rng, registry):
     vocabulary = sorted({w for pos in PartOfSpeech for w in lexicon.words(pos)}
                         | {w for schema in schemas for w in literal_words(schema)}
                         | {"a", "an", "not", "to", "gleeb"})
-    lines = [prose_line(rng, vocabulary) for _ in range(2)]
+    lines = [prose_line(rng, vocabulary) for _ in range(2)] + ["", "   "]
     for schema in schemas:
         try:
             sentence = generate(lexicon, schema, rng.getrandbits(64)).sentence

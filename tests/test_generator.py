@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
-                      PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, generate,
-                      generate_batch, parse_lexicon, parse_template, sub_seed)
+                      PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, classify,
+                      generate, generate_batch, parse_lexicon, parse_template, sub_seed)
 from antinomy.generator import _fill
 from antinomy.schema import _render_plan
 
@@ -198,6 +198,18 @@ def test_first_letter_is_capitalized():
 def test_a_leading_digit_stays_and_nothing_after_it_is_capitalized(registry, class_id, sentence):
     schema = next(s for s in registry if s.class_id == class_id)
     assert generate(lex("0\tN\t\t\n"), schema).sentence == sentence
+
+
+# str.upper turns "ß" into "SS" and "ς" into "Σ", which normalize reads as
+# other words, so those stay as they are; "é" reads back as "É" does.
+@pytest.mark.parametrize("literal,printed", [("ß", "ß"), ("ﬁ", "ﬁ"), ("ŉ", "ŉ"), ("ς", "ς"),
+                                             ("é", "É"), ("only", "Only")])
+def test_a_leading_literal_is_capitalized_only_where_it_reads_back(literal, printed):
+    nouns = lex("car\tN\t\t\n")
+    schema = make_schema("u", f"{literal} {{N}} without {{N}}.")
+    out = generate(nouns, schema)
+    assert out.sentence == f"{printed} car without car."
+    assert classify(nouns, [schema], out.sentence)[0].score == 1.0
 
 
 def test_first_letter_after_leading_punctuation_is_capitalized():

@@ -14,7 +14,6 @@ from antinomy import (DanglingReference, DuplicateEntry, GenerateError, LexEntry
                       Lexicon, MalformedLine, PartOfSpeech, SelfReferenceDropped,
                       SymmetryRepair, ValidationReport, builtin_registry, classify,
                       generate, normalize, parse_lexicon, serialize_lexicon)
-from antinomy.lexicon import POS_LETTERS
 from conftest import hand_built_entries, random_lexicon_source
 
 A = PartOfSpeech.ATTRIBUTE
@@ -100,9 +99,12 @@ def test_malformed_line_rejected():
 
 
 def test_bad_pos_rejected():
-    report = parse_lexicon("word\tX\t\t\n")
-    assert isinstance(report, ValidationReport)
-    assert any(isinstance(d, MalformedLine) for d in report.defects)
+    for pos in ["X", "", " ", "NV", "Noun", "ß", "\u0144"]:
+        report = parse_lexicon(f"word\t{pos}\t\t\n")
+        assert isinstance(report, ValidationReport)
+        assert report.defects == (MalformedLine(1, f"bad pos {pos!r}"),)
+    # A part of speech is read case-blind, with the spaces around it dropped.
+    assert parse_lexicon("word\t n \t\t\n").entries()[0].pos is N
 
 
 def test_whitespace_in_word_rejected():
@@ -393,7 +395,7 @@ def lexicon_sources(draw) -> str:
     """Lexicon text over `words`; listed words are drawn mostly from the
     surfaces of the same POS, so that some sources are accepted."""
     lines = []
-    for pos in POS_LETTERS:
+    for pos in (p.value for p in PartOfSpeech):
         surfaces = draw(st.lists(words(), max_size=4))
         for surface in surfaces:
             synonyms, antonyms = (",".join(draw(st.lists(listed_words(surfaces), max_size=2)))

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +327,18 @@ def test_random_templates_round_trip():
         assert parse_template(rendered) == tokens
         # rendering is a fixed point after one pass
         assert render_tokens(parse_template(rendered)) == rendered
+
+
+def test_each_catalog_template_text_is_parsed_once():
+    # 36 rows hold 35 texts, 23 and 27 sharing one. The Schema's read-back
+    # check and dump_catalog's row check find each text in the parser's memo.
+    text = (resources.files("antinomy") / "data" / "classes.tsv").read_text(encoding="utf-8")
+    parse_template.cache_clear()
+    load_catalog(text)
+    info = parse_template.cache_info()
+    assert info.misses == 35 and info.maxsize is not None
+    dump_catalog(builtin_registry())
+    assert parse_template.cache_info().misses == 35
 
 
 def test_catalog_label_column_is_optional():
