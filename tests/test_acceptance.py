@@ -1,4 +1,4 @@
-"""Acceptance gate: seven end-to-end checks with stated time budgets.
+"""Acceptance gate: eight end-to-end checks with stated time budgets.
 
 Run with `pytest -s tests/test_acceptance.py` to see one status line per
 criterion. Each check prints PASS only after every assertion in it held;
@@ -24,9 +24,21 @@ from conftest import random_lexicon_source, random_template
 # against the bundled lexicon; frozen with the data files.
 BATCH_42_SHA256 = "e39e32b7d8a9445e7255ed9bf2cf2622fb85c713fb46150552dff1241afb7820"
 
+# sha256 of the stdout of `detect --min-score 0` over the text output of
+# `generate --class all --count 100 --seed 7` followed by the golden
+# corpus's sentence column (3,832 lines), against the bundled lexicon.
+DETECT_SHA256 = "40e40f48f014d96670ec2fc78583fb47ed4d19577ea302469cee2a855cb6a8d6"
+
 # Templates 23 and 27 are byte-identical, so a sentence generated from 27
 # legitimately reports 23 (the ranking's final tiebreak is the lower id).
 IDENTICAL_PATTERNS = {"27": "23"}
+
+
+def golden_rows() -> list[list[str]]:
+    """The golden corpus's (class id, label, sentence) rows."""
+    text = (resources.files("antinomy") / "data" / "golden_corpus.tsv").read_text()
+    return [line.split("\t") for line in text.splitlines()
+            if line.strip() and not line.startswith("#")]
 
 
 @contextmanager
@@ -71,11 +83,7 @@ def test_criterion_3_golden_corpus(demo_lexicon, registry):
     with criterion(3, "golden corpus", 5.0):
         conforming = 0
         unanchored = below_floor = 0
-        text = (resources.files("antinomy") / "data" / "golden_corpus.tsv").read_text()
-        for line in text.splitlines():
-            if not line.strip() or line.startswith("#"):
-                continue
-            class_id, label, sentence = line.split("\t")
+        for class_id, label, sentence in golden_rows():
             ranked = classify(demo_lexicon, registry, sentence)
             if label == "N":
                 # No nonconforming line keeps a detection at detect's default 0.5.
@@ -132,3 +140,16 @@ def test_criterion_7_morphology_table():
         assert gerund("vote") == "voting"
         assert indefinite_article("impossible") == "an"
         assert indefinite_article("sad") == "a"
+
+
+def test_criterion_8_detection_output():
+    with criterion(8, "detection output", 10.0):
+        generated = CliRunner().invoke(main, ["generate", "--class", "all", "--count", "100",
+                                              "--seed", "7", "--format", "text"])
+        assert generated.exit_code == 0
+        lines = generated.stdout + "".join(row[2] + "\n" for row in golden_rows())
+        assert len(lines.splitlines()) == 3832
+        detected = CliRunner().invoke(main, ["detect", "--min-score", "0"], input=lines)
+        assert detected.exit_code == 0, detected.stderr
+        digest = hashlib.sha256(detected.stdout.encode("utf-8")).hexdigest()
+        assert digest == DETECT_SHA256
