@@ -9,8 +9,8 @@ schema's compiled checks, one (slot, check, base slot) per non-base
 slot, and audits each by one rule: the realized word must be in the
 relation's word set (the base, or the lexicon's sorted pool of its
 antonyms, or of its synonyms and the base), or for a derived slot be a
-set word's derived form. Two fallbacks follow a miss: NegInf for an
-antonym verb slot, SuffixInverse for a synonym slot. Each satisfied
+set word's derived form, or for an antonym verb slot "not to" + the
+base. A synonym slot's miss falls back to SuffixInverse. Each satisfied
 check records one evidence item. The skeleton decides whether a
 sentence has a schema's shape; the relations decide the score. An
 unknown base word leaves its relations checked but unsatisfied, so a
@@ -30,10 +30,10 @@ instead:
   order; `match_schema` builds its own one-schema plan without
   replacing the kept one.
 - Relations. The forms a check accepts against a known base, the set
-  words or for a derived slot their derived forms, each with its
-  evidence kind, form one table per (base, RelationCheck). It is built
-  on first use and kept on the lexicon for as long as the lexicon lives;
-  a check is then one lookup, and the two fallbacks run only on a miss.
+  words or for a derived slot their derived forms, and for an antonym
+  verb slot the NegInf form, each with its evidence kind, form one
+  table per (base, RelationCheck). It is built on first use and kept on
+  the lexicon while it lives; a check is then one lookup.
   A base the lexicon lacks gets no table, so input words cannot grow it.
 
 Ranking sorts on score, literal token count, class id and registry
@@ -84,8 +84,9 @@ def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
     the lexicon: each word of the relation's word set (the base, or its
     sorted antonym pool, or its sorted synonym pool) with its own kind,
     or for a derived slot each word's derived form, hyphen-joined, as
-    SuffixInverse. None for a base with no entry, which is not kept, so
-    input words cannot grow the memo."""
+    SuffixInverse; an underived antonym verb check adds "not to <base>",
+    spaces kept so only three tokens match it, as NegInf. None for a base
+    with no entry, which is not kept, so input words cannot grow the memo."""
     if lexicon.entry(base, check.symbol) is None:
         return None
     if check.relation is Relation.IDENTITY:
@@ -97,16 +98,19 @@ def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
     if check.derivations:
         words = [apply_derivations(w, check.derivations).replace(" ", "-") for w in words]
         kind = EvidenceKind.SUFFIX_INVERSE
-    return lexicon._accepted.setdefault((base, check), dict.fromkeys(words, kind))
+    table = dict.fromkeys(words, kind)
+    if kind is EvidenceKind.LEX_ANTONYM and check.symbol is PartOfSpeech.VERB:
+        table[negated_infinitive(base)] = EvidenceKind.NEG_INF
+    return lexicon._accepted.setdefault((base, check), table)
 
 
 def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                match: re.Match[str], sentence_index: int) -> Detection:
-    """Each check is one lookup of the realized capture in its (base,
-    check) table. A miss on an underived slot falls back to NegInf, the
-    captured text against the base verb's negated infinitive, for an
-    antonym verb slot, and to SuffixInverse, a set word among the
-    capture's suffix-stripped candidates, for a synonym slot."""
+    """Each check looks the realized capture up in its (base, check)
+    table, hyphen-joined and then as written: only NegInf keys hold a
+    space. A miss on an underived synonym slot falls back to
+    SuffixInverse, a set word among the capture's suffix-stripped
+    candidates."""
     captured = match.groups()
     joined = [c.replace(" ", "-") for c in captured]
     tables = lexicon._accepted
@@ -119,17 +123,12 @@ def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
             if table is None:
                 continue
         realized = joined[slot]
-        kind = table.get(realized)
-        if kind is None and not check.derivations:
-            if check.relation is Relation.ANTONYM:
-                if (check.symbol is PartOfSpeech.VERB
-                        and captured[slot] == negated_infinitive(captured[base_slot])):
-                    kind = EvidenceKind.NEG_INF
-            elif check.relation is Relation.SYNONYM:
-                stripped = {*plural_bases(realized), *agentive_bases(realized),
-                            *gerund_bases(realized)}
-                if not stripped.isdisjoint(table):
-                    kind = EvidenceKind.SUFFIX_INVERSE
+        kind = table.get(realized) or table.get(captured[slot])
+        if kind is None and check.relation is Relation.SYNONYM and not check.derivations:
+            stripped = {*plural_bases(realized), *agentive_bases(realized),
+                        *gerund_bases(realized)}
+            if not stripped.isdisjoint(table):
+                kind = EvidenceKind.SUFFIX_INVERSE
         if kind is not None:
             evidence.append(Evidence(slot, kind))
     checked, satisfied = len(form.checks), len(evidence)

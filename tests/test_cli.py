@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import antinomy
@@ -652,3 +652,45 @@ def test_every_command_survives_an_arbitrary_lexicon_file(data):
             assert error is None or isinstance(error, SystemExit), (args, repr(error))
             assert res.exit_code in (0, 1, 2), args
             assert res.exit_code == 0 or (res.stdout + res.stderr).strip(), args
+
+
+# Option values: arbitrary text, or near misses of what each option takes.
+# A --slot group is at times made of digits that are not ASCII decimals,
+# such as "²", which str.isdigit accepts and int refuses.
+_CLASS_TEXT = st.text(max_size=8) | st.sampled_from(["all", "ALL", "13", " 13", "2v", "2V",
+                                                     "027", "36", ""])
+_GROUP_TEXT = (st.text(max_size=3) | st.sampled_from(["0", "1", "7", "00", "-1", "+1"])
+               | st.text(st.characters(categories=("Nd", "No")), min_size=1, max_size=2))
+_SLOT_TEXT = st.text(max_size=10) | st.builds(
+    "{}={}".format, _GROUP_TEXT, st.text(max_size=6) | st.sampled_from(["car", "hot", "Hot",
+                                                                        "speak", "gleeb"]))
+
+
+def assert_exit_contract(args: list[str]) -> None:
+    """Exit 0, 1 or 2 with no exception but SystemExit; exit 1 with an
+    error line or click's usage text first on stderr."""
+    res = runner.invoke(main, args)
+    error = res.exception
+    assert error is None or isinstance(error, SystemExit), (args, repr(error))
+    assert res.exit_code in (0, 1, 2), (args, res.exit_code)
+    if res.exit_code == 1:
+        assert res.stderr.startswith(("error:", "Usage:")), (args, res.stderr)
+
+
+@settings(deadline=None, max_examples=100)
+@given(text=_CLASS_TEXT)
+def test_generate_survives_an_arbitrary_class(text):
+    assert_exit_contract(["generate", "--class", text, "--count", "1"])
+
+
+@settings(deadline=None, max_examples=100)
+@given(text=_CLASS_TEXT)
+def test_classes_survives_an_arbitrary_id(text):
+    assert_exit_contract(["classes", "--id", text])
+
+
+@settings(deadline=None, max_examples=100)
+@example(text="²=car")
+@given(text=_SLOT_TEXT)
+def test_generate_survives_an_arbitrary_slot(text):
+    assert_exit_contract(["generate", "--class", "all", "--count", "1", "--slot", text])

@@ -32,8 +32,10 @@ from test_relation_audit import one_token_edit
 
 
 def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
-                             base_text: str, text: str) -> EvidenceKind | None:
-    """The relation check as it was before the accepted-forms tables."""
+                             text: str) -> EvidenceKind | None:
+    """The relation check as it was before the accepted-forms tables,
+    except that NegInf reads the base as bound, hyphen-joined, as every
+    other relation does, not as written."""
     if lexicon.entry(base, spec.symbol) is None:
         return None
     relation = spec.relation
@@ -48,7 +50,7 @@ def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realiz
                 else EvidenceKind.LEX_ANTONYM if relation is Relation.ANTONYM
                 else EvidenceKind.LEX_SYNONYM)
     if relation is Relation.ANTONYM:
-        negated = spec.symbol is PartOfSpeech.VERB and text == negated_infinitive(base_text)
+        negated = spec.symbol is PartOfSpeech.VERB and text == negated_infinitive(base)
         return EvidenceKind.NEG_INF if negated else None
     if relation is Relation.SYNONYM:
         stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
@@ -63,7 +65,7 @@ def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
     evidence: list[Evidence] = []
     for slot, spec, base_slot in form.checks:
         kind = reference_check_relation(lexicon, spec, joined[base_slot], joined[slot],
-                                        captured[base_slot], captured[slot])
+                                        captured[slot])
         if kind is not None:
             evidence.append(Evidence(slot, kind))
     checked, satisfied = len(form.checks), len(evidence)

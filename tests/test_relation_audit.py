@@ -2,7 +2,9 @@
 (slot, check, base slot) checks against the per-relation audit it
 replaced, which is kept here as the reference. The reference looks up
 each slot's group base per match, skips base slots as it walks every
-slot, and carries each capture both as a token tuple and hyphen-joined."""
+slot, and carries each capture both as a token tuple and hyphen-joined.
+NegInf compares the capture's tokens with "not", "to" and the base as
+bound."""
 from __future__ import annotations
 
 import random
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, Lexicon,
-                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, generate,
-                      match_schema, normalize, parse_lexicon, parse_template)
+                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, classify,
+                      generate, match_schema, normalize, parse_lexicon, parse_template)
 from antinomy.detector import _detection
 from antinomy.generator import Binding
 from antinomy.morphology import (agentive_bases, apply_derivations, gerund_bases,
@@ -22,8 +24,7 @@ from antinomy.schema import CompiledSchema, LiteralToken, RelationCheck
 from conftest import hand_built_entries, random_lexicon_source, random_template
 
 
-def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
-                             base_span: tuple[str, ...], realized: str,
+def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
                              span: tuple[str, ...]) -> EvidenceKind | None:
     entry = lexicon.entry(base, spec.symbol)
     if entry is None:
@@ -41,7 +42,7 @@ def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str,
     if spec.relation is Relation.ANTONYM:
         if realized in words:
             return EvidenceKind.LEX_ANTONYM
-        if spec.symbol is PartOfSpeech.VERB and span == ("not", "to") + base_span:
+        if spec.symbol is PartOfSpeech.VERB and span == ("not", "to", base):
             return EvidenceKind.NEG_INF
         return None
     if realized in words:
@@ -69,8 +70,8 @@ def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
         if i == base_ordinal:
             continue
         checked += 1
-        kind = reference_check_relation(lexicon, spec, bases[spec.group_id],
-                                        spans[base_ordinal], joined[i], spans[i])
+        kind = reference_check_relation(lexicon, spec, bases[spec.group_id], joined[i],
+                                        spans[i])
         if kind is not None:
             satisfied += 1
             evidence.append(Evidence(i, kind))
@@ -206,3 +207,19 @@ def test_negated_infinitive_over_separate_tokens():
     assert det.binding.realized == ("not-to-speak", "speak")
     assert det.score == 1.0
     assert det.evidence == (Evidence(0, EvidenceKind.NEG_INF),)
+
+
+GIVE_UP = lex("give-up\tV\t\tkeep\nkeep\tV\t\t\n")
+
+
+def test_negated_infinitive_reads_the_base_as_bound(registry):
+    # "Give up" and "Give-up" both bind the base give-up, so "not to
+    # give-up" negates it however the base was written.
+    spaced, hyphened = (classify(GIVE_UP, registry, f"{base} what one not to give-up.")
+                        for base in ("Give up", "Give-up"))
+    assert spaced[:1] == hyphened[:1]
+    det = spaced[0]
+    assert det.class_id == "13"
+    assert det.binding.realized == ("give-up", "not-to-give-up")
+    assert det.score == 1.0
+    assert det.evidence == (Evidence(1, EvidenceKind.NEG_INF),)
