@@ -29,6 +29,11 @@ BATCH_42_SHA256 = "e39e32b7d8a9445e7255ed9bf2cf2622fb85c713fb46150552dff1241afb7
 # corpus's sentence column (3,832 lines), against the bundled lexicon.
 DETECT_SHA256 = "40e40f48f014d96670ec2fc78583fb47ed4d19577ea302469cee2a855cb6a8d6"
 
+# sha256 of the stdout of `detect --min-score 0.5`, the CLI's default
+# floor, over the same 3,832 lines (3,890 records). No record there scores
+# exactly 0.5, so the floor's `>=` edge is tested elsewhere.
+DETECT_FLOOR_SHA256 = "9a3e5ce9f848b55fbf697b399f08d23edee7cd05964612081bd5bb7e0ed189ea"
+
 # Templates 23 and 27 are byte-identical, so a sentence generated from 27
 # legitimately reports 23 (the ranking's final tiebreak is the lower id).
 IDENTICAL_PATTERNS = {"27": "23"}
@@ -149,7 +154,8 @@ def test_criterion_8_detection_output():
         assert generated.exit_code == 0
         lines = generated.stdout + "".join(row[2] + "\n" for row in golden_rows())
         assert len(lines.splitlines()) == 3832
-        detected = CliRunner().invoke(main, ["detect", "--min-score", "0"], input=lines)
-        assert detected.exit_code == 0, detected.stderr
-        digest = hashlib.sha256(detected.stdout.encode("utf-8")).hexdigest()
-        assert digest == DETECT_SHA256
+        for floor, pinned in (("0", DETECT_SHA256), ("0.5", DETECT_FLOOR_SHA256)):
+            detected = CliRunner().invoke(main, ["detect", "--min-score", floor], input=lines)
+            assert detected.exit_code == 0, detected.stderr
+            digest = hashlib.sha256(detected.stdout.encode("utf-8")).hexdigest()
+            assert digest == pinned, floor
