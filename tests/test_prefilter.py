@@ -1,6 +1,8 @@
 """Differential test: classify with the required-literal prefilter against
 the loop it replaced, which tries every schema's regex and is kept here
-as the reference."""
+as the reference. The reference builds each detection by `match_schema`,
+which must return one wherever the schema's regex matches, so a token
+bound that rules out a sentence the regex matches fails here too."""
 from __future__ import annotations
 
 import random
@@ -10,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (Detection, PartOfSpeech, Schema, SchemaKind, classify, generate,
-                      normalize, parse_template)
-from antinomy.detector import _detection
+                      match_schema, normalize, parse_template)
 from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken, MAX_SLOT_SPAN, SlotToken
 from conftest import random_template, with_article
 
@@ -29,21 +30,22 @@ def reference_classify(lexicon, registry, sentence: str,
         match = form.regex.fullmatch(text)
         if match is None:
             continue
-        detection = _detection(lexicon, schema.class_id, form, match, sentence_index)
+        detection = match_schema(lexicon, schema, sentence, sentence_index)
+        assert detection is not None, (schema.class_id, sentence)
         ranked.append((-detection.score, form.rank_key, detection))
     ranked.sort(key=lambda item: item[:2])
     return [item[2] for item in ranked]
 
 
-def skeleton_sentence(rng: random.Random, schema: Schema, words: list[str]) -> str:
+def skeleton_sentence(rng: random.Random, schema: Schema, words: list[str],
+                      spans: tuple[int, int] = (1, MAX_SLOT_SPAN)) -> str:
     """Sentence text following the schema's tokens: literal text as
-    written, "a" or "an" per article marker, one to MAX_SLOT_SPAN words
-    per slot."""
+    written, "a" or "an" per article marker, and per slot a number of
+    words drawn from `spans`, one to MAX_SLOT_SPAN by default."""
     out = []
     for token in schema.tokens:
         if isinstance(token, SlotToken):
-            out.append(" ".join(rng.choice(words)
-                                for _ in range(rng.randint(1, MAX_SLOT_SPAN))))
+            out.append(" ".join(rng.choice(words) for _ in range(rng.randint(*spans))))
         else:
             out.append(ARTICLE_MARKER_RE.sub(lambda _: rng.choice(("a", "an")), token.text))
     return "".join(out)
