@@ -19,10 +19,18 @@ from antinomy import (Lexicon, classify, generate, parse_lexicon, parse_template
 from antinomy.cli import main
 from antinomy.morphology import agentive, gerund, indefinite_article, pluralize
 from conftest import random_lexicon_source, random_template
+from synthetic_lexicon import synthetic_lexicon
 
 # sha256 of the stdout of `generate --class all --count 10 --seed 42`
 # against the bundled lexicon; frozen with the data files.
 BATCH_42_SHA256 = "e39e32b7d8a9445e7255ed9bf2cf2622fb85c713fb46150552dff1241afb7820"
+
+# sha256 of the stdout of `generate --class all --count 20 --seed 3` against
+# the seeded synthetic lexicon `synthetic_lexicon(2000, 1)`: 720 sentences,
+# no skip. Its nouns have 0 to 4 synonyms, so the second synonym slot of
+# class 20b takes an unused synonym, the base itself, or the base because
+# no synonym is left; demo.lex lists synonyms for 17 of its 138 entries.
+SYNTHETIC_BATCH_SHA256 = "d22bee73d2c16eaef6524a81da7a21a944d0d741f4ed10deed3e014d3b6a1de7"
 
 # sha256 of the stdout of `detect --min-score 0` over the text output of
 # `generate --class all --count 100 --seed 7` followed by the golden
@@ -112,6 +120,16 @@ def test_criterion_4_cli_determinism():
         assert first.stdout == second.stdout
         digest = hashlib.sha256(first.stdout.encode("utf-8")).hexdigest()
         assert digest == BATCH_42_SHA256
+
+
+def test_generate_output_pinned_on_a_synonym_rich_lexicon(tmp_path):
+    lexicon = tmp_path / "synthetic.lex"
+    lexicon.write_text(synthetic_lexicon(2000, 1))
+    result = CliRunner().invoke(main, ["generate", "--class", "all", "--count", "20",
+                                       "--seed", "3", "--lexicon", str(lexicon)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.count("\n") == 720
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == SYNTHETIC_BATCH_SHA256
 
 
 def test_criterion_5_lexicon_properties():

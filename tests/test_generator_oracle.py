@@ -108,6 +108,29 @@ def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
                              Binding(tuple(bases.items()), tuple(realized)))
 
 
+def clique_lexicon(synonyms: int) -> Lexicon:
+    """Nouns in two cliques of `synonyms` + 1 words each, every word the
+    synonym of the rest of its clique and the antonym of each word of the
+    other clique, so any base has exactly `synonyms` synonyms and at least
+    one antonym."""
+    p, q = ([f"{side}{i}" for i in range(synonyms + 1)] for side in "pq")
+    n = PartOfSpeech.NOUN
+    return Lexicon({(w, n): LexEntry(w, n, frozenset(clique) - {w}, frozenset(other))
+                    for clique, other in ((p, q), (q, p)) for w in clique})
+
+
+@pytest.mark.parametrize("synonyms", [0, 1, 2, 3])
+@pytest.mark.parametrize("template", ["{N} of the {N'}.", "{N} of the {N'} of the {N''}.",
+                                      "{N} of the {N'} of the {N''}, not {~N}."])
+def test_synonym_slots_match_reference_for_each_pool_size(synonyms, template):
+    # The first synonym slot of a group meets no used synonym, and the ~N
+    # slot's draw comes after the synonym slots' draws.
+    lexicon = clique_lexicon(synonyms)
+    schema = Schema("u", SchemaKind.PARADOX, parse_template(template))
+    for seed in range(300):
+        assert generate(lexicon, schema, seed) == reference_generate(lexicon, schema, seed)
+
+
 def random_lexicon(rng: random.Random) -> Lexicon:
     """A parsed random lexicon; at times one part of speech loses every
     antonym, so antonym groups of that POS have no candidate at all, and

@@ -5,6 +5,9 @@ to the field names, field order and repr text it had as a frozen
 dataclass, so callers that build records positionally or by keyword,
 or read their repr, see no change.
 """
+import copy
+import pickle
+
 import pytest
 
 from antinomy import (BatchResult, Binding, DanglingReference, Detection,
@@ -12,7 +15,8 @@ from antinomy import (BatchResult, Binding, DanglingReference, Detection,
                       LexEntry, LiteralToken, MalformedLine, PartOfSpeech,
                       Relation, SelfReferenceDropped, SkippedSchema, SlotSpec,
                       SlotToken, SymmetryRepair, ValidationReport,
-                      builtin_registry, classify, generate_batch, parse_lexicon)
+                      builtin_registry, classify, generate, generate_batch, iter_batch,
+                      parse_lexicon)
 
 A = PartOfSpeech.ATTRIBUTE
 _SPEC = SlotSpec(A, Relation.IDENTITY, 0, (), 0)
@@ -116,3 +120,28 @@ def test_bases_are_pairs_in_the_schemas_group_order(demo_lexicon, registry):
 def test_binding_is_one_class_under_each_import_path():
     from antinomy import generator, schema
     assert Binding is generator.Binding is schema.Binding
+
+
+def test_records_built_as_bare_tuples_act_as_constructed_ones(demo_lexicon, registry):
+    # generate and classify build their records with tuple.__new__, which
+    # skips the NamedTuple's own __new__; such a record must still be a
+    # full instance of its class.
+    sentences = [generate(demo_lexicon, schema, 5) for schema in registry]
+    sentences += [s for s in iter_batch(demo_lexicon, registry, 5, 1)
+                  if isinstance(s, GeneratedSentence)]
+    detections = [d for s in sentences for d in classify(demo_lexicon, registry, s.sentence)]
+    records = (sentences + [s.binding for s in sentences]
+               + detections + [d.binding for d in detections]
+               + [e for d in detections for e in d.evidence])
+    seen = {type(r) for r in records}
+    assert seen == {GeneratedSentence, Binding, Detection, Evidence}
+    for record in records:
+        cls = type(record)
+        assert record == cls(*record) and cls(*record) == record
+        assert record._replace() == record and type(record._replace()) is cls
+        assert record._asdict() == dict(zip(cls._fields, record))
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is cls and copied == record
+    first = sentences[0]
+    changed = first._replace(seed=first.seed + 1)
+    assert type(changed) is GeneratedSentence and changed.seed == first.seed + 1
