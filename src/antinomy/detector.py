@@ -52,9 +52,7 @@ from .lexicon import Lexicon, PartOfSpeech
 from .morphology import (agentive_bases, apply_derivations, gerund_bases,
                          negated_infinitive, plural_bases)
 from .schema import (MAX_SLOT_SPAN, Binding, CompiledSchema, Relation, RelationCheck, Schema,
-                     normalize)
-
-_record = tuple.__new__     # builds a NamedTuple record without its Python-level __new__
+                     _record, normalize)
 
 
 class EvidenceKind(Enum):

@@ -9,7 +9,7 @@ empty pool raises NoCandidateError instead of rejection loops. A
 sentence is its schema's render plan with the slots' fills put in. A batch
 is made one item at a time by `iter_batch`, so a caller that writes each
 item as it comes holds one sentence at a time; `generate_batch` collects
-the same items into lists.
+the same items into the tuples of a `BatchResult`.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .lexicon import Lexicon, PartOfSpeech
 from .morphology import apply_derivations, indefinite_article, negated_infinitive
 from .rng import SplitMix64, sub_seed
-from .schema import Binding, GroupPlan, PlanPiece, Relation, Schema
+from .schema import Binding, GroupPlan, PlanPiece, Relation, Schema, _record
 
 
 # Bound once: on Python 3.11, EnumType's __getattr__ makes each member read slow.
@@ -103,7 +103,8 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
     back to "not to <verb>" for an antonym-less verb. Synonym-prime slots
     prefer a synonym that is neither the base nor already used by an
     earlier prime slot of the group, relaxing in that order until a pool
-    is non-empty.
+    is non-empty. The records are built with `tuple.__new__`, as `classify`
+    builds its own, so no NamedTuple `__new__` runs per sentence.
     """
     rng = SplitMix64(seed)
     form = schema.compiled
@@ -111,7 +112,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
     bases: dict[int, str] = {}
     for group in form.groups:
-        gid, pos = group.group_id, group.pos
+        gid, pos, _, needs_antonym = group
         if gid in overrides:
             word = overrides[gid].lower()
             reason = _refusal(lexicon, group, word)
@@ -119,36 +120,44 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
                 raise BadOverrideError(gid, word, reason)
             bases[gid] = word
             continue
-        pool = lexicon.words_with_antonyms(pos) if group.needs_antonym else lexicon.words(pos)
+        pool = lexicon.words_with_antonyms(pos) if needs_antonym else lexicon.words(pos)
         if not pool:
             raise NoCandidateError(schema.class_id, gid)
         bases[gid] = rng.choice(pool)
 
+    # Each base is a lower-case word with an entry under its group's symbol,
+    # so the stored pools are read by key, with no case folding.
+    antonym_pools, synonym_pools = lexicon._antonym_pools, lexicon._synonym_pools
     used_synonyms: dict[int, set[str]] = {}
     realized: list[str] = []
-    for spec in form.specs:
-        base = bases[spec.group_id]
-        if spec.relation is _IDENTITY:
+    for symbol, relation, _, derivations, gid in form.specs:
+        base = bases[gid]
+        if relation is _IDENTITY:
             word = base
-        elif spec.relation is _ANTONYM:
-            antonyms = lexicon.antonym_pool(base, spec.symbol)
+        elif relation is _ANTONYM:
+            antonyms = antonym_pools[base, symbol]
             if antonyms:
                 word = rng.choice(antonyms)
             else:
                 # Candidate filtering leaves this branch to bare verb slots.
                 word = negated_infinitive(base)
         else:
-            synonyms = lexicon.synonym_pool(base, spec.symbol)
-            used = used_synonyms.setdefault(spec.group_id, set())
-            unused = [w for w in synonyms if w not in used]
-            pool = ([w for w in unused if w != base] or unused
-                    or [w for w in synonyms if w != base])
-            word = rng.choice(pool) if pool else base
-            used.add(word)
-        realized.append(apply_derivations(word, spec.derivations) if spec.derivations else word)
+            synonyms = synonym_pools[base, symbol]       # holds the base itself
+            used = used_synonyms.get(gid)
+            if used is None:
+                # The group's first synonym slot: no synonym is used yet.
+                word = rng.choice([w for w in synonyms if w != base] or synonyms)
+                used_synonyms[gid] = {word}
+            else:
+                unused = [w for w in synonyms if w not in used]
+                pool = ([w for w in unused if w != base] or unused
+                        or [w for w in synonyms if w != base])
+                word = rng.choice(pool) if pool else base
+                used.add(word)
+        realized.append(apply_derivations(word, derivations) if derivations else word)
 
-    return GeneratedSentence(schema.class_id, _fill(form.plan, realized), seed,
-                             Binding(tuple(bases.items()), tuple(realized)))
+    binding = _record(Binding, (tuple(bases.items()), tuple(realized)))
+    return _record(GeneratedSentence, (schema.class_id, _fill(form.plan, realized), seed, binding))
 
 
 def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],

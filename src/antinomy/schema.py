@@ -176,6 +176,9 @@ class Binding(NamedTuple):
     realized: tuple[str, ...]
 
 
+_record = tuple.__new__     # builds a NamedTuple record without its Python-level __new__
+
+
 PlanPiece = str | int | tuple[int, bool, bool]     # see CompiledSchema.plan
 _SLOT_PATTERN = r"(\S+(?: \S+){0,%d}?)" % (MAX_SLOT_SPAN - 1)
 
