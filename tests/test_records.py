@@ -137,7 +137,7 @@ def test_records_built_as_bare_tuples_act_as_constructed_ones(demo_lexicon, regi
     assert seen == {GeneratedSentence, Binding, Detection, Evidence}
     for record in records:
         cls = type(record)
-        assert record == cls(*record) and cls(*record) == record
+        assert record == cls(*record)
         assert record._replace() == record and type(record._replace()) is cls
         assert record._asdict() == dict(zip(cls._fields, record))
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
