@@ -18,14 +18,16 @@ from importlib import resources
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, Lexicon,
-                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, Binding,
-                      apply_derivations, classify, detector, dump_catalog, generate,
-                      iter_batch, iter_scan, load_catalog, match_schema, negated_infinitive,
-                      normalize, parse_lexicon, parse_template)
+from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, GeneratedSentence,
+                      Lexicon, PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, Binding,
+                      agentive, apply_derivations, classify, detector, dump_catalog, generate,
+                      gerund, iter_batch, iter_scan, load_catalog, match_schema,
+                      negated_infinitive, normalize, parse_lexicon, parse_template, pluralize)
+from antinomy.generator import _fill
 from antinomy.morphology import agentive_bases, gerund_bases, plural_bases
 from antinomy.schema import CompiledSchema
 from conftest import random_template, with_article
+from synthetic_lexicon import synthetic_lexicon
 from test_generator_oracle import random_lexicon
 from test_prefilter import literal_words, one_edit, prose_line, skeleton_sentence
 from test_relation_audit import one_token_edit
@@ -164,6 +166,59 @@ def test_golden_corpus_and_round_trip_match_the_oracle(registry):
         for index, line in enumerate(lines):
             assert (classify(lexicon, passed, line, index)
                     == reference_classify(lexicon, registry, line, index)), line
+
+
+def suffix_form_lines(lexicon: Lexicon, schemas: list[Schema], count: int) -> list[str]:
+    """`count` sentences per schema, each also re-rendered with one
+    underived synonym fill replaced by the plural, agent-noun or gerund
+    form of a word of that slot's synonym pool; duplicates dropped."""
+    lines: list[str] = []
+    for item in iter_batch(lexicon, schemas, 1, count):
+        assert isinstance(item, GeneratedSentence)
+        form = next(s for s in schemas if s.class_id == item.class_id).compiled
+        bases = dict(item.binding.bases)
+        lines.append(item.sentence)
+        for slot, (symbol, relation, _, derivations, gid) in enumerate(form.specs):
+            if relation is not Relation.SYNONYM or derivations:
+                continue
+            for word in lexicon.synonym_pool(bases[gid], symbol):
+                for derive in (pluralize, agentive, gerund):
+                    realized = list(item.binding.realized)
+                    realized[slot] = derive(word)
+                    lines.append(_fill(form.plan, realized))
+    return list(dict.fromkeys(lines))
+
+
+def test_synonym_suffix_forms_match_the_oracle(registry):
+    """Every form the inverse fallback would accept on a synonym slot, and
+    every generated sentence around it, is detected as the oracle, which
+    keeps that fallback, detects it."""
+    schemas = [s for s in registry
+               if any(relation is Relation.SYNONYM and not derivations
+                      for _, relation, _, derivations, _ in s.compiled.specs)]
+    assert len(schemas) == 12
+    for text, count, sizes in (
+            ((resources.files("antinomy") / "data" / "demo.lex").read_text(), 100, (2486, 2138)),
+            (synthetic_lexicon(2000, 1), 20, (2482, 2544))):
+        lexicon = parse_lexicon(text)
+        assert isinstance(lexicon, Lexicon)
+        lines = suffix_form_lines(lexicon, schemas, count)
+        suffix_items = 0
+        for index, line in enumerate(lines):
+            found = classify(lexicon, registry, line, index, min_score=0)
+            assert found == reference_classify(lexicon, registry, line, index), line
+            suffix_items += sum(e.kind is EvidenceKind.SUFFIX_INVERSE
+                                for d in found for e in d.evidence)
+        assert (len(lines), suffix_items) == sizes
+
+
+def test_a_synonym_that_is_also_a_suffix_form_keeps_its_own_kind():
+    lexicon = parse_lexicon("car\tN\tcars\t\ncars\tN\tcar\t\n")
+    assert isinstance(lexicon, Lexicon)
+    schema = Schema("u", SchemaKind.PARADOX, parse_template("{N} of the {N'}."))
+    for sentence, kind in (("Car of the cars.", EvidenceKind.LEX_SYNONYM),
+                           ("Car of the carses.", EvidenceKind.SUFFIX_INVERSE)):
+        assert match_schema(lexicon, schema, sentence).evidence == (Evidence(1, kind),)
 
 
 HELL = "Hell without hell."
