@@ -9,12 +9,12 @@ schema's compiled checks, one (slot, check, base slot) per non-base
 slot, and audits each by one rule: the realized word must be in the
 relation's word set (the base, or the lexicon's sorted pool of its
 antonyms, or of its synonyms and the base), or for a derived slot be a
-set word's derived form, or for an antonym verb slot "not to" + the
-base. A synonym slot's miss falls back to SuffixInverse. Each satisfied
-check records one evidence item. The skeleton decides whether a
-sentence has a schema's shape; the relations decide the score. An
-unknown base word leaves its relations checked but unsatisfied, so a
-skeleton-only match scores 0.
+set word's derived form, or for an underived synonym slot a set word's
+plural, agent-noun or gerund form, or for an antonym verb slot "not to"
++ the base. Each satisfied check records one evidence item. The
+skeleton decides whether a sentence has a schema's shape; the relations
+decide the score. An unknown base word leaves its relations checked but
+unsatisfied, so a skeleton-only match scores 0.
 
 Two things are worked out once, not per line:
 
@@ -29,11 +29,10 @@ Two things are worked out once, not per line:
   registry is read into a tuple, and the last plan is kept while the
   next registry holds the same schemas in the same order; `match_schema`
   builds its own one-schema plan without replacing the kept one.
-- Relations. The forms a check accepts against a known base, the set
-  words or for a derived slot their derived forms, and for an antonym
-  verb slot the NegInf form, each with its evidence kind, form one
-  table per (base, RelationCheck). It is built on first use and kept on
-  the lexicon while it lives; a check is then one lookup.
+- Relations. The forms a check accepts against a known base, named
+  above, each with its evidence kind, form one table per (base,
+  RelationCheck), the one definition of what a slot accepts. It is built
+  on first use and kept on the lexicon while it lives; a check is one lookup.
   A base the lexicon lacks gets no table, so input words cannot grow it.
 
 A detection scoring below the caller's floor is not built. Ranking
@@ -49,8 +48,10 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import Lexicon, PartOfSpeech
-from .morphology import (agentive_bases, apply_derivations, gerund_bases,
-                         negated_infinitive, plural_bases)
+from .morphology import agentive, apply_derivations, gerund, negated_infinitive, pluralize
+# Detection calls no suffix inverse: these stay bound for benchmarks/tracing.py,
+# which wraps them by this module's name and requires every target to exist.
+from .morphology import agentive_bases, gerund_bases, plural_bases  # noqa: F401
 from .schema import (MAX_SLOT_SPAN, Binding, CompiledSchema, Relation, RelationCheck, Schema,
                      _record, normalize)
 
@@ -84,7 +85,9 @@ def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
     kept on the lexicon: each word of the relation's word set (the base,
     or its sorted antonym pool, or its sorted synonym pool) with its own
     kind, or for a derived slot each word's derived form, hyphen-joined,
-    as SuffixInverse; an underived antonym verb check adds "not to <base>",
+    as SuffixInverse. An underived synonym check adds each set word's
+    plural, agent-noun and gerund form as SuffixInverse, unless it is a set
+    word itself; an underived antonym verb check adds "not to <base>",
     spaces kept so only three tokens match it, as NegInf. Callers pass no
     unknown base, so input words cannot grow the memo."""
     if check.relation is Relation.IDENTITY:
@@ -99,17 +102,19 @@ def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
     table = dict.fromkeys(words, kind)
     if kind is EvidenceKind.LEX_ANTONYM and check.symbol is PartOfSpeech.VERB:
         table[negated_infinitive(base)] = EvidenceKind.NEG_INF
+    elif kind is EvidenceKind.LEX_SYNONYM:
+        for word in words:
+            for derive in (pluralize, agentive, gerund):
+                table.setdefault(derive(word), EvidenceKind.SUFFIX_INVERSE)
     return lexicon._accepted.setdefault((base, check), table)
 
 
 def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
                captured: tuple[str, ...], joined: tuple[str, ...], sentence_index: int,
                min_score: float) -> Detection | None:
-    """Each check looks the realized capture up in its (base, check)
-    table, hyphen-joined and then as written: only NegInf keys hold a
-    space. A miss on an underived synonym slot falls back to
-    SuffixInverse, a set word among the capture's suffix-stripped
-    candidates. Below min_score no record is built: None."""
+    """Each check is one lookup of the realized capture in its (base,
+    check) table, hyphen-joined and then as written: only NegInf keys hold
+    a space. Below min_score no record is built: None."""
     tables, entries = lexicon._accepted, lexicon._entries
     evidence: list[Evidence] = []
     for slot, check, base_slot in form.checks:
@@ -119,13 +124,7 @@ def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
             if (base, check.symbol) not in entries:
                 continue
             table = _accepted_forms(lexicon, base, check)
-        realized = joined[slot]
-        kind = table.get(realized) or table.get(captured[slot])
-        if kind is None and check.relation is Relation.SYNONYM and not check.derivations:
-            stripped = {*plural_bases(realized), *agentive_bases(realized),
-                        *gerund_bases(realized)}
-            if not stripped.isdisjoint(table):
-                kind = EvidenceKind.SUFFIX_INVERSE
+        kind = table.get(joined[slot]) or table.get(captured[slot])
         if kind is not None:
             evidence.append(_record(Evidence, (slot, kind)))
     checked, satisfied = len(form.checks), len(evidence)

@@ -4,9 +4,10 @@ Small closed rule set, no exception dictionaries. DERIVATION_RULES is
 the one table of the template flags: each flag's rule, the slot symbol
 it applies to and the one it yields, read by `apply_derivations` and by
 the template parser. The plural, agentive and gerund rules each have an
-inverse candidate generator used by detection: one routine undoes the
-rule's suffixes and keeps the candidates that re-applying the forward
-rule maps back, so the two directions cannot drift.
+inverse candidate generator: one routine undoes the rule's suffixes and
+keeps the candidates that re-applying the forward rule maps back, so the
+two directions cannot drift. Detection no longer uses the inverses: a
+synonym slot's table of accepted forms lists the forward forms.
 """
 from __future__ import annotations
 
