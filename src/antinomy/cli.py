@@ -91,8 +91,6 @@ def _binary_input(path: str) -> Iterator[BinaryIO]:
 
 
 _READ_CHUNK = 1 << 16
-# Where `str.splitlines` ends a line; "\r\n" is one break.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _decode_error(err: UnicodeDecodeError, offset: int) -> str:
@@ -146,7 +144,7 @@ class _InputLines:
             if not text:
                 continue
             lines = text.splitlines()
-            ended = text[-1] in _LINE_BREAKS
+            ended = text[-1].splitlines() != [text[-1]]     # splitlines breaks after it
             after_cr = text[-1] == "\r"
             if open_line and (ended or len(lines) > 1):
                 lines[0] = "".join(open_line) + lines[0]
