@@ -8,6 +8,7 @@ from antinomy import (Derivation, EmptyPhraseError, agentive, agentive_bases,
                       apply_derivations, gerund, gerund_bases,
                       indefinite_article, negated_infinitive, plural_bases,
                       pluralize)
+from antinomy.lexicon import WORD_PATTERN
 
 AGENTIVE_CASES = [
     ("hate", "hater"),
@@ -80,24 +81,28 @@ def test_apply_derivations_chain():
 
 
 WORDS = st.from_regex(r"[a-z]{1,12}", fullmatch=True)
+# Every word a lexicon can hold: digits, inner hyphens and apostrophes too.
+# Detection's synonym tables list the forward forms in place of these
+# inverses, which is exact only while the two agree on every such word.
+LEXICON_WORDS = st.from_regex(WORD_PATTERN, fullmatch=True)
 
 
-@given(WORDS)
+@given(LEXICON_WORDS)
 def test_plural_bases_recover_input(word):
     assert word in plural_bases(pluralize(word))
 
 
-@given(WORDS)
+@given(LEXICON_WORDS)
 def test_agentive_bases_recover_input(word):
     assert word in agentive_bases(agentive(word))
 
 
-@given(WORDS)
+@given(LEXICON_WORDS)
 def test_gerund_bases_recover_input(word):
     assert word in gerund_bases(gerund(word))
 
 
-@given(WORDS)
+@given(LEXICON_WORDS)
 def test_inverse_candidates_verify_forward(word):
     # Every candidate any inverse offers must map back exactly.
     for candidate in plural_bases(word):
