@@ -3,12 +3,13 @@ per-(base, slot) accepted-forms tables against the loop and the relation
 check they replaced, which are kept here as the oracle. The oracle tries
 every schema of the registry in order, runs each schema's regex, and for
 each check reads the lexicon's pools again and derives every pool word,
-for list and tuple registries alike. Then the caches' own safety. The kept
-plan serves any registry that holds equal schemas in the same order: one
-list classified again, a list and a tuple of the same schemas, and equal
-copies of them share one plan, while a changed list gets a new one. A
-one-schema match leaves the kept plan in place, and unknown words leave the
-memo as it was."""
+for list and tuple registries alike; a synonym slot's miss falls back to
+the suffix inverses, whose forward forms the tables hold. Then the
+caches' own safety. The kept plan serves any registry that holds equal
+schemas in the same order: one list classified again, a list and a tuple
+of the same schemas, and equal copies of them share one plan, while a
+changed list gets a new one. A one-schema match leaves the kept plan in
+place, and unknown words leave the memo as it was."""
 from __future__ import annotations
 
 import random
@@ -172,10 +173,11 @@ def suffix_form_lines(lexicon: Lexicon, schemas: list[Schema], count: int) -> li
     """`count` sentences per schema, each also re-rendered with one
     underived synonym fill replaced by the plural, agent-noun or gerund
     form of a word of that slot's synonym pool; duplicates dropped."""
+    forms = {schema.class_id: schema.compiled for schema in schemas}
     lines: list[str] = []
     for item in iter_batch(lexicon, schemas, 1, count):
         assert isinstance(item, GeneratedSentence)
-        form = next(s for s in schemas if s.class_id == item.class_id).compiled
+        form = forms[item.class_id]
         bases = dict(item.binding.bases)
         lines.append(item.sentence)
         for slot, (symbol, relation, _, derivations, gid) in enumerate(form.specs):
@@ -190,9 +192,9 @@ def suffix_form_lines(lexicon: Lexicon, schemas: list[Schema], count: int) -> li
 
 
 def test_synonym_suffix_forms_match_the_oracle(registry):
-    """Every form the inverse fallback would accept on a synonym slot, and
-    every generated sentence around it, is detected as the oracle, which
-    keeps that fallback, detects it."""
+    """Lines carrying the forms the inverse fallback accepts on a synonym
+    slot, and the generated sentences they were made from, classify as
+    the oracle, which keeps that fallback, classifies them."""
     schemas = [s for s in registry
                if any(relation is Relation.SYNONYM and not derivations
                       for _, relation, _, derivations, _ in s.compiled.specs)]
