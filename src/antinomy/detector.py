@@ -16,7 +16,7 @@ skeleton decides whether a sentence has a schema's shape; the relations
 decide the score. An unknown base word leaves its relations checked but
 unsatisfied, so a skeleton-only match scores 0.
 
-Two things are worked out once, not per line:
+Three things are worked out once, not per line:
 
 - Dispatch. A schema cannot align with a sentence that lacks one of its
   literal tokens, or whose token count it cannot span (one token per
@@ -27,8 +27,15 @@ Two things are worked out once, not per line:
   token is always tried. Schemas with one regex share it, so each regex
   runs at most once per line and its captures are read once. Any
   registry is read into a tuple, and the last plan is kept while the
-  next registry holds the same schemas in the same order; `match_schema`
-  builds its own one-schema plan without replacing the kept one.
+  next registry holds the same schemas in the same order: `classify`
+  first tests whether it was given the kept plan's own tuple, which
+  costs no copy. `match_schema` builds its own one-schema plan without
+  replacing the kept one.
+- Records. The plan holds, per schema, the Evidence records each check
+  can yield (its own kind, and SuffixInverse or NegInf where its table
+  adds those forms) and its group layout, (group id, base ordinal) per
+  group. Equal layouts are one tuple, so the schemas that share a regex
+  and a layout share one Binding per line; compare detections with `==`.
 - Relations. The forms a check accepts against a known base, named
   above, each with its evidence kind, form one table per (base,
   RelationCheck), the one definition of what a slot accepts. It is built
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import Lexicon, PartOfSpeech
@@ -79,6 +87,24 @@ class Detection(NamedTuple):
     evidence: tuple[Evidence, ...]
 
 
+# Bound once: on Python 3.11, EnumType's __getattr__ makes each member read slow.
+_IDENTITY, _ANTONYM, _VERB = Relation.IDENTITY, Relation.ANTONYM, PartOfSpeech.VERB
+# In EvidenceKind's definition order.
+_LEX_ANTONYM, _LEX_SYNONYM, _NEG_INF, _SUFFIX_INVERSE, _IDENTITY_REPEAT = EvidenceKind
+
+
+def _kinds(check: RelationCheck) -> tuple[EvidenceKind, EvidenceKind | None]:
+    """The evidence kinds a check's table can hold: the check's own kind,
+    and the kind of the forms its table adds, if it adds any."""
+    if check.derivations:
+        return _SUFFIX_INVERSE, None
+    if check.relation is _IDENTITY:
+        return _IDENTITY_REPEAT, None
+    if check.relation is _ANTONYM:
+        return _LEX_ANTONYM, _NEG_INF if check.symbol is _VERB else None
+    return _LEX_SYNONYM, _SUFFIX_INVERSE
+
+
 def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
                     ) -> dict[str, EvidenceKind]:
     """The slot's accepted forms for a base with an entry, built once and
@@ -90,60 +116,48 @@ def _accepted_forms(lexicon: Lexicon, base: str, check: RelationCheck
     word itself; an underived antonym verb check adds "not to <base>",
     spaces kept so only three tokens match it, as NegInf. Callers pass no
     unknown base, so input words cannot grow the memo."""
-    if check.relation is Relation.IDENTITY:
-        words, kind = (base,), EvidenceKind.IDENTITY_REPEAT
-    elif check.relation is Relation.ANTONYM:
-        words, kind = lexicon.antonym_pool(base, check.symbol), EvidenceKind.LEX_ANTONYM
+    if check.relation is _IDENTITY:
+        words: Iterable[str] = (base,)
+    elif check.relation is _ANTONYM:
+        words = lexicon.antonym_pool(base, check.symbol)
     else:
-        words, kind = lexicon.synonym_pool(base, check.symbol), EvidenceKind.LEX_SYNONYM
+        words = lexicon.synonym_pool(base, check.symbol)
     if check.derivations:
         words = [apply_derivations(w, check.derivations).replace(" ", "-") for w in words]
-        kind = EvidenceKind.SUFFIX_INVERSE
-    table = dict.fromkeys(words, kind)
-    if kind is EvidenceKind.LEX_ANTONYM and check.symbol is PartOfSpeech.VERB:
-        table[negated_infinitive(base)] = EvidenceKind.NEG_INF
-    elif kind is EvidenceKind.LEX_SYNONYM:
+    own, added = _kinds(check)
+    table = dict.fromkeys(words, own)
+    if added is _NEG_INF:
+        table[negated_infinitive(base)] = added
+    elif added is _SUFFIX_INVERSE:
         for word in words:
             for derive in (pluralize, agentive, gerund):
-                table.setdefault(derive(word), EvidenceKind.SUFFIX_INVERSE)
+                table.setdefault(derive(word), added)
     return lexicon._accepted.setdefault((base, check), table)
 
 
-def _detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
-               captured: tuple[str, ...], joined: tuple[str, ...], sentence_index: int,
-               min_score: float) -> Detection | None:
-    """Each check is one lookup of the realized capture in its (base,
-    check) table, hyphen-joined and then as written: only NegInf keys hold
-    a space. Below min_score no record is built: None."""
-    tables, entries = lexicon._accepted, lexicon._entries
-    evidence: list[Evidence] = []
-    for slot, check, base_slot in form.checks:
-        base = joined[base_slot]
-        table = tables.get((base, check))
-        if table is None:
-            if (base, check.symbol) not in entries:
-                continue
-            table = _accepted_forms(lexicon, base, check)
-        kind = table.get(joined[slot]) or table.get(captured[slot])
-        if kind is not None:
-            evidence.append(_record(Evidence, (slot, kind)))
-    checked, satisfied = len(form.checks), len(evidence)
-    score = satisfied / checked if checked else 1.0
-    if not score >= min_score:
-        return None
-    bases = tuple([(group.group_id, joined[group.base_ordinal]) for group in form.groups])
-    return _record(Detection, (class_id, _record(Binding, (bases, joined)), score, checked,
-                               satisfied, sentence_index, tuple(evidence)))
+# A member's check: (slot, check, base slot, own kind, its Evidence, the
+# added kind's Evidence or None), the records built once per plan. Each
+# Evidence sits in a 1-tuple: a member's evidence is the sum of its
+# satisfied checks' tuples, and a sum of one tuple is that tuple.
+_Check = tuple[int, RelationCheck, int, EvidenceKind, tuple[Evidence], tuple[Evidence] | None]
+# A member's group layout: (group id, base ordinal) per group, in group order.
+_Layout = tuple[tuple[int, int], ...]
+_GROUP_LAYOUT = attrgetter("group_id", "base_ordinal")
+_RANK_KEY = attrgetter("compiled.rank_key")
 
 
 class _Unit(NamedTuple):
     """The registry's schemas that share one regex, so it runs once per
     line. They share `required`, its literals, and `lengths`, the token
-    counts it can match: one per literal and marker, 1 to MAX_SLOT_SPAN per slot."""
+    counts it can match: one per literal and marker, 1 to MAX_SLOT_SPAN per
+    slot. Each member holds its rank, class id, checks and group layout,
+    the records a detection is built from. The plan interns layouts, so
+    members with equal layouts share one tuple and sit next to each
+    other: a matched unit builds one Binding per layout."""
     regex: re.Pattern[str]
     required: frozenset[str]
     lengths: range
-    members: tuple[tuple[int, str, CompiledSchema], ...]   # (rank, class id, form)
+    members: tuple[tuple[int, str, tuple[_Check, ...], _Layout], ...]
 
 
 class _Plan(NamedTuple):
@@ -155,24 +169,52 @@ class _Plan(NamedTuple):
     always: tuple[_Unit, ...]
 
 
+def _check(slot: int, check: RelationCheck, base_slot: int) -> _Check:
+    own, added = _kinds(check)
+    return (slot, check, base_slot, own, (_record(Evidence, (slot, own)),),
+            None if added is None else (_record(Evidence, (slot, added)),))
+
+
 def _build_plan(registry: tuple[Schema, ...]) -> _Plan:
-    shared: dict[str, list[tuple[int, str, CompiledSchema]]] = {}
+    shared: dict[str, list[tuple[int, str, tuple[_Check, ...], _Layout]]] = {}
+    forms: dict[str, CompiledSchema] = {}
+    # Equal checks and equal layouts are built once and shared.
+    checks: dict[tuple[int, RelationCheck, int], _Check] = {}
+    layouts: dict[_Layout, _Layout] = {}
     demand: dict[str, int] = {}
     # A schema's rank is its place by rank_key, then by registry order: the sort is stable.
-    for rank, schema in enumerate(sorted(registry, key=lambda schema: schema.compiled.rank_key)):
+    for rank, schema in enumerate(sorted(registry, key=_RANK_KEY)):
         form = schema.compiled
-        shared.setdefault(form.regex.pattern, []).append((rank, schema.class_id, form))
+        pattern = form.regex.pattern
+        layout = tuple(map(_GROUP_LAYOUT, form.groups))
+        layout = layouts.setdefault(layout, layout)
+        if pattern not in shared:
+            shared[pattern], forms[pattern] = [], form
+        built = []
+        for triple in form.checks:
+            record = checks.get(triple)
+            if record is None:
+                record = checks[triple] = _check(*triple)
+            built.append(record)
+        shared[pattern].append((rank, schema.class_id, tuple(built), layout))
         for token in form.required:
             demand[token] = demand.get(token, 0) + 1
     index: dict[str, list[_Unit]] = {}
     always: list[_Unit] = []
-    for members in shared.values():
-        form = members[0][2]
+    for pattern, members in shared.items():
+        form = forms[pattern]
+        if len(members) > 1:      # put the members of one layout side by side
+            by_layout: dict[_Layout, list] = {}
+            for member in members:
+                by_layout.setdefault(member[3], []).append(member)
+            members = [member for group in by_layout.values() for member in group]
         low = len(form.specs) - form.rank_key[0]      # rank_key[0] is minus the fixed tokens
-        unit = _Unit(form.regex, form.required,
-                     range(low, low + (MAX_SLOT_SPAN - 1) * len(form.specs) + 1), tuple(members))
+        unit = _record(_Unit, (form.regex, form.required,
+                               range(low, low + (MAX_SLOT_SPAN - 1) * len(form.specs) + 1),
+                               tuple(members)))
         if form.required:
-            rarest = min(form.required, key=lambda token: (demand[token], token))
+            # The least demanded token, the first in sorted order on a tie.
+            rarest = min(sorted(form.required), key=demand.__getitem__)
             index.setdefault(rarest, []).append(unit)
         else:
             always.append(unit)
@@ -198,7 +240,12 @@ def _plan_for(registry: Iterable[Schema]) -> _Plan:
 
 def _classify(lexicon: Lexicon, plan: _Plan, tokens: tuple[str, ...],
               sentence_index: int, min_score: float = 0.0) -> list[Detection]:
+    """Per matched unit, each member's checks are one lookup each of the
+    realized capture in its (base, check) table, hyphen-joined and then
+    as written: only NegInf keys hold a space. A member scoring below
+    min_score builds no record; the others share their layout's Binding."""
     text, present, length = " ".join(tokens), set(tokens), len(tokens)
+    tables, entries = lexicon._accepted, lexicon._entries
     units = list(plan.always)
     for token in plan.index.keys() & present:
         units.extend(plan.index[token])
@@ -212,10 +259,29 @@ def _classify(lexicon: Lexicon, plan: _Plan, tokens: tuple[str, ...],
         captured = match.groups()      # at the shortest length, one token per slot
         joined = (captured if length == unit.lengths.start
                   else tuple([c.replace(" ", "-") for c in captured]))
-        for rank, class_id, form in unit.members:
-            if (detection := _detection(lexicon, class_id, form, captured, joined,
-                                        sentence_index, min_score)) is not None:
-                ranked.append((-detection.score, rank, detection))
+        bound = binding = None
+        for rank, class_id, checks, layout in unit.members:
+            evidence: tuple[Evidence, ...] = ()
+            for slot, check, base_slot, own, own_evidence, added_evidence in checks:
+                base = joined[base_slot]
+                table = tables.get((base, check))
+                if table is None:
+                    if (base, check.symbol) not in entries:
+                        continue
+                    table = _accepted_forms(lexicon, base, check)
+                kind = table.get(joined[slot]) or table.get(captured[slot])
+                if kind is not None:
+                    evidence += own_evidence if kind is own else added_evidence
+            checked, satisfied = len(checks), len(evidence)
+            score = satisfied / checked if checked else 1.0
+            if not score >= min_score:
+                continue
+            if layout is not bound:       # members of one layout are adjacent
+                bound = layout
+                binding = _record(Binding, (tuple([(group_id, joined[ordinal])
+                                                   for group_id, ordinal in layout]), joined))
+            ranked.append((-score, rank, _record(Detection, (
+                class_id, binding, score, checked, satisfied, sentence_index, evidence))))
     # Ranks are unique, so the sort never compares detections and the
     # order the units were tried in cannot reach the result.
     if len(ranked) > 1:
@@ -240,8 +306,10 @@ def classify(lexicon: Lexicon, registry: Iterable[Schema], sentence: str,
     to the lower id, then registry order. A sentence with no token, such
     as a blank line, matches nothing: each regex needs a character.
     """
-    return _classify(lexicon, _plan_for(registry), normalize(sentence), sentence_index,
-                     min_score)
+    plan = _last_plan
+    if plan is None or plan.registry is not registry:
+        plan = _plan_for(registry)
+    return _classify(lexicon, plan, normalize(sentence), sentence_index, min_score)
 
 
 def iter_scan(lexicon: Lexicon, registry: Iterable[Schema], lines: Iterable[str],
