@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
                       PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, classify,
                       generate, generate_batch, parse_lexicon, parse_template, sub_seed)
 from antinomy.generator import _fill
 from antinomy.schema import _render_plan
+from test_generator_oracle import ReferenceSplitMix64
 
 N = PartOfSpeech.NOUN
 
@@ -43,6 +46,26 @@ def test_sub_seed_is_nth_output():
 def test_choice_empty_pool_raises():
     with pytest.raises(IndexError):
         SplitMix64(1).choice([])
+
+
+# 0 stands for a next_u64 call, n > 0 for a choice from an n-word pool;
+# one-word pools come often, as they do in demo.lex.
+_STEPS = st.lists(st.just(1) | st.integers(min_value=0, max_value=60), max_size=40)
+
+
+@settings(deadline=None, max_examples=500)
+@given(seed=st.integers(min_value=-2 ** 70, max_value=2 ** 70), steps=_STEPS)
+def test_choice_and_next_u64_follow_the_reference_stream(seed, steps):
+    # Each choice advances the stream by one step, whatever its pool's
+    # size, so every later output equals the reference's.
+    rng, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    for n in steps:
+        if n:
+            pool = [f"w{i}" for i in range(n)]
+            assert rng.choice(pool) == reference.choice(pool)
+        else:
+            assert rng.next_u64() == reference.next_u64()
+    assert [rng.next_u64() for _ in range(3)] == [reference.next_u64() for _ in range(3)]
 
 
 def test_choice_depends_on_pool_order():

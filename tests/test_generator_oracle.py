@@ -1,10 +1,12 @@
 """Differential test: `generate` over compiled schemas and stored lexicon
 pools against the per-sentence version it replaced, which is kept here
 as the reference, and against the article resolution it replaced, which
-is kept here too and applied to each literal token. Lexicons come from
-seeded random sources and from hypothesis strategies, overrides from
-both, and templates at times open with a marker or punctuation or end
-in a marker."""
+is kept here too and applied to each literal token. The reference draws
+through its own SplitMix64, written here from the published algorithm,
+so a change to `antinomy.SplitMix64` shows as a difference. Lexicons
+come from seeded random sources and from hypothesis strategies,
+overrides from both, and templates at times open with a marker or
+punctuation or end in a marker."""
 from __future__ import annotations
 
 import random
@@ -16,13 +18,32 @@ from hypothesis import strategies as st
 
 from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
-                      SlotSpec, SplitMix64, apply_derivations, generate,
+                      SlotSpec, apply_derivations, generate,
                       generate_batch, indefinite_article, negated_infinitive,
                       parse_lexicon, parse_template, sub_seed)
 from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken
 from conftest import (hand_built_entries, random_lexicon_source, random_template,
                       with_article, with_edges)
 from test_render_oracle import capitalize_first
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 from the published algorithm: each output steps the
+    state by the golden gamma and mixes it in full, and a choice takes
+    one output modulo the pool size, also from a one-word pool."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2 ** 64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        return z ^ (z >> 31)
+
+    def choice(self, pool: Sequence[str]) -> str:
+        return pool[self.next_u64() % len(pool)]
 
 
 def reference_fix_articles(text: str, rest: str) -> str:
@@ -50,7 +71,7 @@ def reference_candidates(lexicon: Lexicon, pos: PartOfSpeech, need_antonym: bool
 
 def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
                        overrides: Mapping[int, str] | None = None) -> GeneratedSentence:
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     specs = schema.slot_specs()
     overrides = dict(overrides or {})
 
