@@ -71,6 +71,10 @@ class EvidenceKind(Enum):
     SUFFIX_INVERSE = "SuffixInverse"
     IDENTITY_REPEAT = "IdentityRepeat"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with == and spares each record's kind-to-JSON lookup Enum's Python-level hash.
+    __hash__ = object.__hash__
+
 
 class Evidence(NamedTuple):
     slot: int

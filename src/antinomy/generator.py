@@ -2,7 +2,8 @@
 
 All randomness flows through one SplitMix64 stream per sentence. Base
 word, antonym and synonym pools are filtered and sorted once per
-lexicon, and a draw happens exactly once per choice point, so equal
+lexicon, and each choice point advances the stream by exactly one step
+(a one-word pool's without mixing the output), so equal
 (lexicon, schema, seed, overrides) always yields the identical
 sentence. Candidate filtering happens before sampling; a group with an
 empty pool raises NoCandidateError instead of rejection loops. A
@@ -145,8 +146,10 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             synonyms = synonym_pools[base, symbol]       # holds the base itself
             used = used_synonyms.get(gid)
             if used is None:
-                # The group's first synonym slot: no synonym is used yet.
-                word = rng.choice([w for w in synonyms if w != base] or synonyms)
+                # The group's first synonym slot: no synonym is used yet. A
+                # one-word pool is the base alone, so filtering would leave it.
+                word = rng.choice(synonyms if len(synonyms) == 1
+                                  else [w for w in synonyms if w != base] or synonyms)
                 used_synonyms[gid] = {word}
             else:
                 unused = [w for w in synonyms if w not in used]

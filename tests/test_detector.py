@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Evidence, EvidenceKind, GenerateError, Lexicon, Schema, SchemaKind,
-                      apply_derivations, classify, detector, generate, match_schema,
-                      normalize, parse_lexicon, parse_template, scan_corpus)
+from antinomy import (Derivation, Evidence, EvidenceKind, GenerateError, Lexicon,
+                      PartOfSpeech, Relation, Schema, SchemaKind, apply_derivations, classify,
+                      detector, generate, match_schema, normalize, parse_lexicon,
+                      parse_template, scan_corpus)
 from conftest import random_lexicon_source, random_template
 
 
@@ -20,6 +21,15 @@ def lex(source: str) -> Lexicon:
     parsed = parse_lexicon(source)
     assert isinstance(parsed, Lexicon), str(parsed)
     return parsed
+
+
+@pytest.mark.parametrize("enum", [PartOfSpeech, Relation, Derivation, EvidenceKind])
+def test_enums_keyed_on_hot_paths_hash_by_identity(enum):
+    # Lexicon keys, slot specs and the JSONL writer's kind table hash these.
+    assert enum.__hash__ is object.__hash__
+    for member in enum:
+        assert hash(member) == object.__hash__(member)
+        assert {member: 1}[enum(member.value)] == 1
 
 
 def test_normalize_splits_punctuation():
