@@ -2,15 +2,15 @@
 
 All randomness flows through one SplitMix64 stream per sentence. Base
 word, antonym and synonym pools are filtered and sorted once per
-lexicon, and each choice point advances the stream by exactly one step
-(a one-word pool's without mixing the output), so equal
-(lexicon, schema, seed, overrides) always yields the identical
-sentence. Candidate filtering happens before sampling; a group with an
-empty pool raises NoCandidateError instead of rejection loops. A
-sentence is its schema's render plan with the slots' fills put in. A batch
-is made one item at a time by `iter_batch`, so a caller that writes each
-item as it comes holds one sentence at a time; `generate_batch` collects
-the same items into the tuples of a `BatchResult`.
+lexicon, and each choice point advances the stream by exactly one step,
+whatever its pool's size, so equal (lexicon, schema, seed, overrides)
+always yields the identical sentence. Candidate filtering happens before
+sampling; a group with an empty pool raises NoCandidateError instead of
+rejection loops. A sentence is its schema's render plan with the slots'
+fills put in. A batch is made one item at a time by `iter_batch`, so a
+caller that writes each item as it comes holds one sentence at a time;
+`generate_batch` collects the same items into the tuples of a
+`BatchResult`.
 """
 from __future__ import annotations
 
@@ -147,7 +147,7 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
             used = used_synonyms.get(gid)
             if used is None:
                 # The group's first synonym slot: no synonym is used yet. A
-                # one-word pool is the base alone, so filtering would leave it.
+                # one-word pool is the base alone, which the filter falls back to.
                 word = rng.choice(synonyms if len(synonyms) == 1
                                   else [w for w in synonyms if w != base] or synonyms)
                 used_synonyms[gid] = {word}
