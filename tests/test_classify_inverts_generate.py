@@ -25,9 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (EvidenceKind, GenerateError, GeneratedSentence, Lexicon, Relation,
-                      Schema, SchemaKind, classify, generate, iter_batch, parse_lexicon,
-                      parse_template)
-from conftest import random_lexicon_source, random_template
+                      Schema, SchemaKind, classify, generate, iter_batch, parse_template)
+from conftest import lex, random_lexicon_source, random_template
 from synthetic_lexicon import synthetic_lexicon
 
 
@@ -72,8 +71,7 @@ def test_the_built_ins_read_back(registry):
     assert len(by_id) == len(registry)
     for text, count in (((resources.files("antinomy") / "data" / "demo.lex").read_text(), 100),
                         (synthetic_lexicon(2000, 1), 20)):
-        lexicon = parse_lexicon(text)
-        assert isinstance(lexicon, Lexicon)
+        lexicon = lex(text)
         read = 0
         for out in iter_batch(lexicon, registry, 7, count):
             assert isinstance(out, GeneratedSentence)
@@ -86,8 +84,7 @@ def test_the_built_ins_read_back(registry):
 @given(template_seed=st.integers(0, 2 ** 32), lexicon_seed=st.integers(0, 2 ** 32),
        seed=st.integers(0, 2 ** 64 - 1))
 def test_random_templates_and_lexicons_read_back(template_seed, lexicon_seed, seed):
-    lexicon = parse_lexicon(random_lexicon_source(random.Random(lexicon_seed)))
-    assert isinstance(lexicon, Lexicon)
+    lexicon = lex(random_lexicon_source(random.Random(lexicon_seed)))
     schema = Schema("u", SchemaKind.PARADOX,
                     parse_template(random_template(random.Random(template_seed))))
     try:

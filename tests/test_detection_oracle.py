@@ -1,11 +1,11 @@
 """Differential test: `classify` through its cached dispatch plan and the
 per-(base, slot) accepted-forms tables against the loop and the relation
-check they replaced, which are kept here as the oracle. The oracle tries
+check they replaced, kept as the oracle in oracles.py. The oracle tries
 every schema of the registry in order, runs each schema's regex, and for
 each check reads the lexicon's pools again and derives every pool word,
 for list and tuple registries alike; a synonym slot's miss falls back to
-the suffix inverses, whose forward forms the tables hold. Then the
-caches' own safety. The kept plan serves any registry that holds equal
+the hand-written suffix inverses in oracles.py, whose forward forms the
+tables hold. Then the caches' own safety. The kept plan serves any registry that holds equal
 schemas in the same order: one list classified again, a list and a tuple
 of the same schemas, and equal copies of them share one plan, while a
 changed list gets a new one. A one-schema match leaves the kept plan in
@@ -13,99 +13,25 @@ place, and unknown words leave the memo as it was."""
 from __future__ import annotations
 
 import random
-import re
 from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, GeneratedSentence,
-                      Lexicon, PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, Binding,
-                      agentive, apply_derivations, classify, detector, dump_catalog, generate,
-                      gerund, iter_batch, iter_scan, load_catalog, match_schema,
-                      negated_infinitive, normalize, parse_lexicon, parse_template, pluralize)
+from antinomy import (Evidence, EvidenceKind, GenerateError, GeneratedSentence, Lexicon,
+                      PartOfSpeech, Relation, Schema, SchemaKind, agentive, classify, detector,
+                      dump_catalog, generate, gerund, iter_batch, iter_scan, load_catalog,
+                      match_schema, normalize, parse_template, pluralize)
 from antinomy.generator import _fill
-from antinomy.morphology import agentive_bases, gerund_bases, plural_bases
-from antinomy.schema import CompiledSchema
-from conftest import random_template, with_article
+from conftest import (lex, literal_words, one_edit, one_token_edit, prose_line, random_lexicon,
+                      random_template, skeleton_sentence, with_article)
+from oracles import reference_classify
 from synthetic_lexicon import synthetic_lexicon
-from test_generator_oracle import random_lexicon
-from test_prefilter import literal_words, one_edit, prose_line, skeleton_sentence
-from test_relation_audit import one_token_edit
-
-
-def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
-                             text: str) -> EvidenceKind | None:
-    """The relation check as it was before the accepted-forms tables,
-    except that NegInf reads the base as bound, hyphen-joined, as every
-    other relation does, not as written."""
-    if lexicon.entry(base, spec.symbol) is None:
-        return None
-    relation = spec.relation
-    words = ((base,) if relation is Relation.IDENTITY
-             else lexicon.antonym_pool(base, spec.symbol) if relation is Relation.ANTONYM
-             else lexicon.synonym_pool(base, spec.symbol))
-    if spec.derivations:
-        derived = (apply_derivations(w, spec.derivations).replace(" ", "-") for w in words)
-        return EvidenceKind.SUFFIX_INVERSE if realized in derived else None
-    if realized in words:
-        return (EvidenceKind.IDENTITY_REPEAT if relation is Relation.IDENTITY
-                else EvidenceKind.LEX_ANTONYM if relation is Relation.ANTONYM
-                else EvidenceKind.LEX_SYNONYM)
-    if relation is Relation.ANTONYM:
-        negated = spec.symbol is PartOfSpeech.VERB and text == negated_infinitive(base)
-        return EvidenceKind.NEG_INF if negated else None
-    if relation is Relation.SYNONYM:
-        stripped = {*plural_bases(realized), *agentive_bases(realized), *gerund_bases(realized)}
-        return None if stripped.isdisjoint(words) else EvidenceKind.SUFFIX_INVERSE
-    return None
-
-
-def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
-                        match: re.Match[str], sentence_index: int) -> Detection:
-    captured = match.groups()
-    joined = [c.replace(" ", "-") for c in captured]
-    evidence: list[Evidence] = []
-    for slot, spec, base_slot in form.checks:
-        kind = reference_check_relation(lexicon, spec, joined[base_slot], joined[slot],
-                                        captured[slot])
-        if kind is not None:
-            evidence.append(Evidence(slot, kind))
-    checked, satisfied = len(form.checks), len(evidence)
-    score = satisfied / checked if checked else 1.0
-    bases = tuple([(group.group_id, joined[group.base_ordinal]) for group in form.groups])
-    return Detection(class_id, Binding(bases, tuple(joined)), score, checked,
-                     satisfied, sentence_index, tuple(evidence))
-
-
-def reference_classify(lexicon: Lexicon, registry, sentence: str,
-                       sentence_index: int = 0) -> list[Detection]:
-    """classify as it was before the dispatch plan: every schema in
-    registry order, its literals tested, then its own regex."""
-    tokens = normalize(sentence)
-    if not tokens:
-        return []
-    text = " ".join(tokens)
-    present = set(tokens)
-    ranked = []
-    for schema in registry:
-        form = schema.compiled
-        if not form.required <= present:
-            continue
-        match = form.regex.fullmatch(text)
-        if match is None:
-            continue
-        detection = reference_detection(lexicon, schema.class_id, form, match, sentence_index)
-        ranked.append((-detection.score, form.rank_key, detection))
-    ranked.sort(key=lambda item: item[:2])
-    return [item[2] for item in ranked]
 
 
 def fresh_demo_lexicon() -> Lexicon:
     """The bundled lexicon with an empty memo, so the tables fill during the test."""
-    lexicon = parse_lexicon((resources.files("antinomy") / "data" / "demo.lex").read_text())
-    assert isinstance(lexicon, Lexicon)
-    return lexicon
+    return lex((resources.files("antinomy") / "data" / "demo.lex").read_text())
 
 
 def random_class_id(rng: random.Random) -> str:
@@ -202,8 +128,7 @@ def test_synonym_suffix_forms_match_the_oracle(registry):
     for text, count, sizes in (
             ((resources.files("antinomy") / "data" / "demo.lex").read_text(), 100, (2486, 2138)),
             (synthetic_lexicon(2000, 1), 20, (2482, 2544))):
-        lexicon = parse_lexicon(text)
-        assert isinstance(lexicon, Lexicon)
+        lexicon = lex(text)
         lines = suffix_form_lines(lexicon, schemas, count)
         suffix_items = 0
         for index, line in enumerate(lines):
@@ -215,8 +140,7 @@ def test_synonym_suffix_forms_match_the_oracle(registry):
 
 
 def test_a_synonym_that_is_also_a_suffix_form_keeps_its_own_kind():
-    lexicon = parse_lexicon("car\tN\tcars\t\ncars\tN\tcar\t\n")
-    assert isinstance(lexicon, Lexicon)
+    lexicon = lex("car\tN\tcars\t\ncars\tN\tcar\t\n")
     schema = Schema("u", SchemaKind.PARADOX, parse_template("{N} of the {N'}."))
     for sentence, kind in (("Car of the cars.", EvidenceKind.LEX_SYNONYM),
                            ("Car of the carses.", EvidenceKind.SUFFIX_INVERSE)):

@@ -6,21 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Derivation, Evidence, EvidenceKind, GenerateError, Lexicon,
-                      PartOfSpeech, Relation, Schema, SchemaKind, apply_derivations, classify,
-                      detector, generate, match_schema, normalize, parse_lexicon,
-                      parse_template, scan_corpus)
-from conftest import random_lexicon_source, random_template
-
-
-def make_schema(class_id: str, dsl: str) -> Schema:
-    return Schema(class_id, SchemaKind.PARADOX, parse_template(dsl))
-
-
-def lex(source: str) -> Lexicon:
-    parsed = parse_lexicon(source)
-    assert isinstance(parsed, Lexicon), str(parsed)
-    return parsed
+from antinomy import (Derivation, Evidence, EvidenceKind, GenerateError, PartOfSpeech,
+                      Relation, apply_derivations, classify, detector, generate, match_schema,
+                      normalize, scan_corpus)
+from conftest import lex, make_schema, random_lexicon_source, random_template
 
 
 @pytest.mark.parametrize("enum", [PartOfSpeech, Relation, Derivation, EvidenceKind])

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from antinomy import (GenerateError, Lexicon, PartOfSpeech, Schema, SchemaKind, classify,
                       generate, iter_batch, iter_scan, normalize, parse_template)
-from conftest import random_lexicon_source, random_template, with_article
-from test_prefilter import literal_words, one_edit, skeleton_sentence
-from test_relation_audit import lex
+from conftest import (lex, literal_words, one_edit, random_lexicon_source, random_template,
+                      skeleton_sentence, with_article)
 
 FLOORS = (0.0, 1 / 3, 1 / 2, 2 / 3, 1.0)
 

@@ -6,25 +6,16 @@ from hypothesis import strategies as st
 
 from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
                       PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, classify,
-                      generate, generate_batch, parse_lexicon, parse_template, sub_seed)
+                      generate, generate_batch, parse_template, sub_seed)
 from antinomy.generator import _fill
 from antinomy.schema import _render_plan
-from test_generator_oracle import ReferenceSplitMix64
+from conftest import lex, make_schema
+from oracles import ReferenceSplitMix64
 
 N = PartOfSpeech.NOUN
 
 # Published reference outputs for seed 0.
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
-
-
-def make_schema(class_id: str, dsl: str) -> Schema:
-    return Schema(class_id, SchemaKind.PARADOX, parse_template(dsl))
-
-
-def lex(source: str) -> Lexicon:
-    parsed = parse_lexicon(source)
-    assert isinstance(parsed, Lexicon), str(parsed)
-    return parsed
 
 
 def test_splitmix64_reference_outputs():

@@ -1,12 +1,12 @@
 """Differential test: `generate` over compiled schemas and stored lexicon
-pools against the per-sentence version it replaced, which is kept here
-as the reference, and against the article resolution it replaced, which
-is kept here too and applied to each literal token. The reference draws
-through its own SplitMix64, written here from the published algorithm,
-so a change to `antinomy.SplitMix64` shows as a difference. Lexicons
-come from seeded random sources and from hypothesis strategies,
-overrides from both, and templates at times open with a marker or
-punctuation or end in a marker."""
+pools against the per-sentence version it replaced, kept here as the
+reference, and against the article resolution it replaced, kept here too
+and applied to each literal token. The reference reads slots and groups
+from the schema's tokens and draws through the SplitMix64 oracles.py
+writes from the published algorithm, so a change to `antinomy.SplitMix64`
+shows as a difference. Lexicons come from seeded random sources and from
+hypothesis strategies, overrides from both, and templates at times open
+with a marker or punctuation or end in a marker."""
 from __future__ import annotations
 
 import random
@@ -18,32 +18,12 @@ from hypothesis import strategies as st
 
 from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Lexicon,
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
-                      SlotSpec, apply_derivations, generate,
-                      generate_batch, indefinite_article, negated_infinitive,
-                      parse_lexicon, parse_template, sub_seed)
-from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken
-from conftest import (hand_built_entries, random_lexicon_source, random_template,
-                      with_article, with_edges)
-from test_render_oracle import capitalize_first
-
-
-class ReferenceSplitMix64:
-    """SplitMix64 from the published algorithm: each output steps the
-    state by the golden gamma and mixes it in full, and a choice takes
-    one output modulo the pool size, also from a one-word pool."""
-
-    def __init__(self, seed: int):
-        self.state = seed % 2 ** 64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) % 2 ** 64
-        z = self.state
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
-        return z ^ (z >> 31)
-
-    def choice(self, pool: Sequence[str]) -> str:
-        return pool[self.next_u64() % len(pool)]
+                      SlotSpec, apply_derivations, generate, generate_batch,
+                      indefinite_article, negated_infinitive, parse_template, sub_seed)
+from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken, _compile_schema
+from conftest import (random_lexicon, random_overrides, random_template, with_article,
+                      with_edges)
+from oracles import ReferenceSplitMix64, base_ordinals, capitalize_first, slot_specs
 
 
 def reference_fix_articles(text: str, rest: str) -> str:
@@ -72,11 +52,11 @@ def reference_candidates(lexicon: Lexicon, pos: PartOfSpeech, need_antonym: bool
 def reference_generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
                        overrides: Mapping[int, str] | None = None) -> GeneratedSentence:
     rng = ReferenceSplitMix64(seed)
-    specs = schema.slot_specs()
+    specs = slot_specs(schema)
     overrides = dict(overrides or {})
 
     bases: dict[int, str] = {}
-    for gid, _ordinals in schema.groups().items():
+    for gid in base_ordinals(schema):       # groups in order of first appearance
         pos = next(s.symbol for s in specs if s.group_id == gid)
         need_ant = reference_needs_antonym(specs, gid)
         if gid in overrides:
@@ -152,41 +132,6 @@ def test_synonym_slots_match_reference_for_each_pool_size(synonyms, template):
         assert generate(lexicon, schema, seed) == reference_generate(lexicon, schema, seed)
 
 
-def random_lexicon(rng: random.Random) -> Lexicon:
-    """A parsed random lexicon; at times one part of speech loses every
-    antonym, so antonym groups of that POS have no candidate at all, and
-    at times it gains the entries of `hand_built_entries`, where stored
-    pools could drift from the case folding and unions of `synonyms` and
-    `antonyms`."""
-    lines = random_lexicon_source(rng).splitlines()
-    if rng.random() < 0.4:
-        bare = rng.choice("NVA")
-        lines = ["\t".join(f[:3] + [""]) if len(f) == 4 and f[1] == bare else line
-                 for line, f in ((line, line.split("\t")) for line in lines)]
-    lexicon = parse_lexicon("\n".join(lines) + "\n")
-    assert isinstance(lexicon, Lexicon)
-    added = hand_built_entries(rng, lexicon)
-    if not added:
-        return lexicon
-    entries = {(e.surface, e.pos): e for e in lexicon.entries()}
-    return Lexicon({**entries, **added}, lexicon.report)
-
-
-def random_overrides(rng: random.Random, lexicon: Lexicon, schema: Schema) -> dict[int, str]:
-    """Valid and invalid overrides: groups of the schema and foreign
-    ones, words of any POS (so often the wrong one), words without
-    antonyms, unknown words and upper-case spellings."""
-    words = [w for pos in PartOfSpeech for w in lexicon.words(pos)] + ["gleeb"]
-    group_pos = {s.group_id: s.symbol for s in schema.slot_specs()}
-    overrides = {}
-    for _ in range(rng.randint(0, 2)):
-        group = rng.choice(list(group_pos) + [7])
-        same_pos = lexicon.words(group_pos.get(group, PartOfSpeech.NOUN))
-        word = rng.choice(same_pos if same_pos and rng.random() < 0.6 else words)
-        overrides[group] = word.upper() if rng.random() < 0.2 else word
-    return overrides
-
-
 def outcome(fn, *args) -> tuple:
     try:
         return ("ok", fn(*args))
@@ -254,14 +199,12 @@ def test_generate_matches_reference_on_drawn_lexicons(data, template_seed):
 
 def test_generate_compiles_each_schema_once(demo_lexicon, monkeypatch):
     calls = []
-    original = Schema.slot_specs
-    monkeypatch.setattr(Schema, "slot_specs", lambda self: calls.append(1) or original(self))
+    monkeypatch.setattr("antinomy.schema._compile_schema",
+                        lambda schema: calls.append(schema) or _compile_schema(schema))
     schema = Schema("u", SchemaKind.PARADOX, parse_template("All is {A}, the {~A} too."))
-    generate(demo_lexicon, schema, 0)
-    compiled_with = len(calls)
-    for seed in range(1, 6):
+    for seed in range(6):
         generate(demo_lexicon, schema, seed)
-    assert len(calls) == compiled_with
+    assert calls == [schema]
 
 
 def pool_holds(lexicon: Lexicon, schema: Schema, group_id: int, word: str) -> bool:

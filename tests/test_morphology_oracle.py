@@ -1,6 +1,6 @@
 """Differential test: the one suffix-undo routine behind plural_bases,
-agentive_bases and gerund_bases against the three hand-written inverses
-it replaced, which are kept here as the reference."""
+agentive_bases and gerund_bases, which no other test module imports,
+against the three hand-written inverses it replaced, kept in oracles.py."""
 from __future__ import annotations
 
 import itertools
@@ -11,53 +11,7 @@ from hypothesis import strategies as st
 
 from antinomy import (agentive, agentive_bases, gerund, gerund_bases, plural_bases,
                       pluralize)
-
-
-def _verified(word: str, raw: list[str], forward) -> tuple[str, ...]:
-    # Keep only candidates the forward rule actually maps back to `word`.
-    out: list[str] = []
-    for cand in raw:
-        if cand and cand not in out and forward(cand) == word:
-            out.append(cand)
-    return tuple(out)
-
-
-def reference_agentive_bases(word: str) -> tuple[str, ...]:
-    if not word:
-        return ()
-    raw = []
-    if word.endswith("ier"):
-        raw.append(word[:-3] + "y")
-    if word.endswith("r"):
-        raw.append(word[:-1])
-    if word.endswith("er"):
-        raw.append(word[:-2])
-    return _verified(word, raw, agentive)
-
-
-def reference_plural_bases(word: str) -> tuple[str, ...]:
-    if not word:
-        return ()
-    raw = []
-    if word.endswith("ies"):
-        raw.append(word[:-3] + "y")
-    if word.endswith("es"):
-        raw.append(word[:-2])
-    if word.endswith("s"):
-        raw.append(word[:-1])
-    return _verified(word, raw, pluralize)
-
-
-def reference_gerund_bases(word: str) -> tuple[str, ...]:
-    if not word:
-        return ()
-    raw = []
-    if word.endswith("ying"):
-        raw.append(word[:-4] + "ie")
-    if word.endswith("ing"):
-        raw.append(word[:-3] + "e")
-        raw.append(word[:-3])
-    return _verified(word, raw, gerund)
+from oracles import reference_agentive_bases, reference_gerund_bases, reference_plural_bases
 
 
 PAIRS = (

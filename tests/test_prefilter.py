@@ -5,16 +5,14 @@ which must return one wherever the schema's regex matches, so a token
 bound that rules out a sentence the regex matches fails here too."""
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (Detection, PartOfSpeech, Schema, SchemaKind, classify, generate,
                       match_schema, normalize, parse_template)
-from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken, MAX_SLOT_SPAN, SlotToken
-from conftest import random_template, with_article
+from conftest import (literal_words, one_edit, prose_line, random_template, skeleton_sentence,
+                      with_article)
 
 
 def reference_classify(lexicon, registry, sentence: str,
@@ -35,53 +33,6 @@ def reference_classify(lexicon, registry, sentence: str,
         ranked.append((-detection.score, form.rank_key, detection))
     ranked.sort(key=lambda item: item[:2])
     return [item[2] for item in ranked]
-
-
-def skeleton_sentence(rng: random.Random, schema: Schema, words: list[str],
-                      spans: tuple[int, int] = (1, MAX_SLOT_SPAN)) -> str:
-    """Sentence text following the schema's tokens: literal text as
-    written, "a" or "an" per article marker, and per slot a number of
-    words drawn from `spans`, one to MAX_SLOT_SPAN by default."""
-    out = []
-    for token in schema.tokens:
-        if isinstance(token, SlotToken):
-            out.append(" ".join(rng.choice(words) for _ in range(rng.randint(*spans))))
-        else:
-            out.append(ARTICLE_MARKER_RE.sub(lambda _: rng.choice(("a", "an")), token.text))
-    return "".join(out)
-
-
-def one_edit(rng: random.Random, sentence: str, words: list[str]) -> str:
-    """The sentence unchanged, or its tokens after one insertion, deletion
-    or swap of two neighbours."""
-    edit = rng.choice(("none", "insert", "delete", "swap"))
-    if edit == "none":
-        return sentence
-    tokens = list(normalize(sentence))
-    i = rng.randrange(len(tokens) + 1)
-    if edit == "insert":
-        tokens.insert(i, rng.choice(words))
-    elif edit == "delete" and i < len(tokens):
-        del tokens[i]
-    elif edit == "swap" and i + 1 < len(tokens):
-        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
-    return " ".join(tokens)
-
-
-def prose_line(rng: random.Random, vocabulary: list[str]) -> str:
-    """A sentence-shaped line of 4 to 30 tokens over the vocabulary, with
-    occasional commas and a closing mark."""
-    tokens: list[str] = []
-    for _ in range(rng.randint(4, 30) - 1):
-        comma = tokens and tokens[-1] != "," and rng.random() < 0.08
-        tokens.append("," if comma else rng.choice(vocabulary))
-    text = " ".join(tokens).replace(" ,", ",")
-    return text[0].upper() + text[1:] + rng.choice(".?!")
-
-
-def literal_words(schema: Schema) -> list[str]:
-    return [word for token in schema.tokens if isinstance(token, LiteralToken)
-            for word in normalize(ARTICLE_MARKER_RE.sub(" ", token.text))]
 
 
 @pytest.fixture(scope="session")

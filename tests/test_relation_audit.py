@@ -1,11 +1,12 @@
 """Differential test: the relation audit over each schema's compiled
 (slot, check, base slot) checks against the per-relation audit it
-replaced, which is kept here as the reference. The reference looks up
-each slot's group base per match, skips base slots as it walks every
-slot, and carries each capture both as a token tuple and hyphen-joined.
-NegInf compares the capture's tokens with "not", "to" and the base as
-bound. The audit under test is reached through `match_schema`, which
-must return a detection wherever the schema's regex matches."""
+replaced, kept here as the reference. It walks the slots read from the
+schema's tokens, skips base slots, reads an entry's sets (the oracle in
+oracles.py reads pools) and falls back to the suffix inverses of
+oracles.py. Each capture is carried as a token tuple and hyphen-joined;
+NegInf compares the tokens with "not", "to" and the base as bound. The
+audit under test is reached through `match_schema`, which must return a
+detection wherever the schema's regex matches."""
 from __future__ import annotations
 
 import random
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinomy import (Detection, Evidence, EvidenceKind, GenerateError, Lexicon,
-                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, classify,
-                      generate, match_schema, normalize, parse_lexicon, parse_template)
+                      PartOfSpeech, Relation, Schema, SchemaKind, SlotSpec, apply_derivations,
+                      classify, generate, match_schema, normalize, parse_template)
 from antinomy.generator import Binding
-from antinomy.morphology import (agentive_bases, apply_derivations, gerund_bases,
-                                 plural_bases)
 from antinomy.schema import CompiledSchema, LiteralToken, RelationCheck
-from conftest import hand_built_entries, random_lexicon_source, random_template
+from conftest import (hand_built_entries, lex, one_token_edit, random_lexicon_source,
+                      random_template)
+from oracles import (base_ordinals, reference_agentive_bases, reference_gerund_bases,
+                     reference_plural_bases, slot_specs)
 
 
 def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realized: str,
@@ -48,26 +50,25 @@ def reference_check_relation(lexicon: Lexicon, spec: SlotSpec, base: str, realiz
     if realized in words:
         return EvidenceKind.LEX_SYNONYM
     stripped: set[str] = set()
-    for invert in (plural_bases, agentive_bases, gerund_bases):
+    for invert in (reference_plural_bases, reference_agentive_bases, reference_gerund_bases):
         stripped.update(invert(realized))
     if stripped & words:
         return EvidenceKind.SUFFIX_INVERSE
     return None
 
 
-def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
-                        match, sentence_index: int) -> Detection:
+def reference_detection(lexicon: Lexicon, schema: Schema, match,
+                        sentence_index: int) -> Detection:
     captured = match.groups()
     spans = [tuple(c.split(" ")) for c in captured]
     joined = [c.replace(" ", "-") for c in captured]
-    bases = {group.group_id: joined[group.base_ordinal] for group in form.groups}
-    base_of = {group.group_id: group.base_ordinal for group in form.groups}
+    base_of = base_ordinals(schema)
+    bases = {gid: joined[slot] for gid, slot in base_of.items()}
 
     checked = satisfied = 0
     evidence: list[Evidence] = []
-    for i, spec in enumerate(form.specs):
-        base_ordinal = base_of[spec.group_id]
-        if i == base_ordinal:
+    for i, spec in enumerate(slot_specs(schema)):
+        if i == base_of[spec.group_id]:
             continue
         checked += 1
         kind = reference_check_relation(lexicon, spec, bases[spec.group_id], joined[i],
@@ -76,33 +77,8 @@ def reference_detection(lexicon: Lexicon, class_id: str, form: CompiledSchema,
             satisfied += 1
             evidence.append(Evidence(i, kind))
     score = satisfied / checked if checked else 1.0
-    return Detection(class_id, Binding(tuple(bases.items()), tuple(joined)), score, checked,
-                     satisfied, sentence_index, tuple(evidence))
-
-
-def lex(source: str) -> Lexicon:
-    parsed = parse_lexicon(source)
-    assert isinstance(parsed, Lexicon), str(parsed)
-    return parsed
-
-
-def one_token_edit(rng: random.Random, tokens: list[str], words: list[str]) -> list[str]:
-    """The tokens after one edit: a token inserted, deleted or replaced,
-    two neighbours joined by a hyphen, or a hyphenated token split."""
-    tokens = list(tokens)
-    i = rng.randrange(len(tokens))
-    edit = rng.choice(("insert", "delete", "replace", "join", "split"))
-    if edit == "insert":
-        tokens.insert(i, rng.choice(words))
-    elif edit == "delete":
-        del tokens[i]
-    elif edit == "replace":
-        tokens[i] = rng.choice(words)
-    elif edit == "join" and i + 1 < len(tokens):
-        tokens[i:i + 2] = [tokens[i] + "-" + tokens[i + 1]]
-    elif edit == "split" and "-" in tokens[i]:
-        tokens[i:i + 1] = tokens[i].split("-", 1)
-    return tokens
+    return Detection(schema.class_id, Binding(tuple(bases.items()), tuple(joined)), score,
+                     checked, satisfied, sentence_index, tuple(evidence))
 
 
 def refilled_from_reference(rng: random.Random, lexicon: Lexicon, form: CompiledSchema,
@@ -160,8 +136,7 @@ def test_audit_matches_reference(rng, demo_lexicon, registry):
             match = schema.compiled.regex.fullmatch(text)
             if match is not None:
                 assert (match_schema(lexicon, schema, text, index)
-                        == reference_detection(lexicon, schema.class_id, schema.compiled,
-                                               match, index)), text
+                        == reference_detection(lexicon, schema, match, index)), text
 
 
 @settings(deadline=None, max_examples=200)
@@ -170,10 +145,11 @@ def test_checks_hold_every_non_base_slot_once(rng, registry):
     schema = (rng.choice(registry) if rng.random() < 0.3 else
               Schema("u", SchemaKind.PARADOX, parse_template(random_template(rng))))
     form = schema.compiled
-    base_of = {group.group_id: group.base_ordinal for group in form.groups}
+    base_of = base_ordinals(schema)
+    assert [(g.group_id, g.base_ordinal) for g in form.groups] == list(base_of.items())
     assert form.checks == tuple(
         (i, RelationCheck(spec.symbol, spec.relation, spec.derivations), base_of[spec.group_id])
-        for i, spec in enumerate(form.specs) if i != base_of[spec.group_id])
+        for i, spec in enumerate(slot_specs(schema)) if i != base_of[spec.group_id])
 
 
 def test_slots_that_differ_in_prime_or_group_alone_share_one_table():

@@ -25,6 +25,7 @@ from antinomy.generator import _fill
 from antinomy.morphology import Derivation
 from antinomy.schema import ARTICLE_MARKERS, MAX_SLOT_SPAN, Token
 from conftest import random_template, with_article, with_edges
+from oracles import capitalize_first, slot_specs
 
 _MARKER_RE = re.compile(r"[Aa]\(n\)")
 
@@ -57,13 +58,6 @@ def render_pieces(pieces: Sequence[str | int], realized: Sequence[str]) -> str:
             article = indefinite_article(tail) if tail else "a"
             piece = article.capitalize() if piece[0] == "A" else article
         text = piece + text
-    return text
-
-
-def capitalize_first(text: str) -> str:
-    for i, c in enumerate(text):
-        if c.isalnum():
-            return text[:i] + c.upper() + text[i + 1:]
     return text
 
 
@@ -152,7 +146,7 @@ def test_compiled_render_matches_reference(data, seed):
     rng = random.Random(seed)
     schema = Schema("u", SchemaKind.PARADOX,
                     parse_template(with_edges(rng, with_article(rng, random_template(rng)))))
-    slots = len(schema.slot_specs())
+    slots = len(slot_specs(schema))
     realized = data.draw(st.lists(_SLOT_FILL, min_size=slots, max_size=slots))
     assert _fill(schema.compiled.plan, realized) == reference_sentence(schema.tokens, realized)
 

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinomy import (Derivation, GenerateError, Lexicon, LiteralToken, PartOfSpeech,
-                      Relation, Schema, SchemaKind, SlotSpec, SlotToken, TemplateError,
-                      builtin_registry, class_sort_key, classify, dump_catalog,
-                      generate, load_catalog, normalize, parse_lexicon, parse_template,
-                      render_template, render_tokens)
+from antinomy import (Derivation, GenerateError, LiteralToken, PartOfSpeech, Relation, Schema,
+                      SchemaKind, SlotSpec, SlotToken, TemplateError, builtin_registry,
+                      class_sort_key, classify, dump_catalog, generate, load_catalog,
+                      parse_template, render_template, render_tokens)
 from antinomy import schema as schema_mod
-from conftest import random_lexicon_source, random_template
+from conftest import lex, random_lexicon_source, random_template
 
 A = PartOfSpeech.ATTRIBUTE
 N = PartOfSpeech.NOUN
@@ -61,15 +60,15 @@ def test_agent_plural_slot():
 
 def test_explicit_groups():
     tokens = parse_template("How {A#1} is a(n) {A'#1} {N#2}?")
-    sch = Schema("x", SchemaKind.TAUTOLOGY, tokens)
-    assert sch.groups() == {1: (0, 1), 2: (2,)}
-    assert sch.base_ordinal(1) == 0
-    assert sch.base_ordinal(2) == 2
+    form = Schema("x", SchemaKind.TAUTOLOGY, tokens).compiled
+    assert [s.group_id for s in form.specs] == [1, 1, 2]
+    assert [(g.group_id, g.base_ordinal) for g in form.groups] == [(1, 0), (2, 2)]
 
 
 def test_implicit_groups_first_appearance_order():
-    sch = Schema("x", SchemaKind.PARADOX, parse_template("{V} the {N} near {A}."))
-    assert [s.group_id for s in sch.slot_specs()] == [0, 1, 2]
+    form = Schema("x", SchemaKind.PARADOX, parse_template("{V} the {N} near {A}.")).compiled
+    assert [s.group_id for s in form.specs] == [0, 1, 2]
+    assert [g.group_id for g in form.groups] == [0, 1, 2]
 
 
 def test_implicit_numbering_skips_explicit_ids():
@@ -141,8 +140,8 @@ def test_templates_that_keep_each_slot_a_word_parse(dsl):
 
 
 def test_later_bare_slot_is_not_the_base():
-    sch = Schema("x", SchemaKind.PARADOX, parse_template("{N} without {N}."))
-    assert sch.base_ordinal(0) == 0
+    form = Schema("x", SchemaKind.PARADOX, parse_template("{N} without {N}.")).compiled
+    assert [(g.group_id, g.base_ordinal) for g in form.groups] == [(0, 0)]
 
 
 _BASE = SlotToken(spec(N, Relation.IDENTITY, 0, (), 0))
@@ -205,8 +204,7 @@ def test_a_schema_is_built_only_from_tokens_that_read_back(tokens, seed):
     assert parse_template(render_tokens(schema.tokens)) == schema.tokens
     # What a built schema generates, detection reads back in full.
     rng = random.Random(seed)
-    lexicon = parse_lexicon(random_lexicon_source(rng))
-    assert isinstance(lexicon, Lexicon)
+    lexicon = lex(random_lexicon_source(rng))
     try:
         out = generate(lexicon, schema, rng.getrandbits(64))
     except GenerateError:
@@ -232,19 +230,16 @@ def test_tokens_given_as_a_list_are_refused_by_type():
         Schema("u", SchemaKind.PARADOX, list(parse_template("{N} without {N}.")))
 
 
-def test_hand_built_schema_without_a_base_slot_raises_the_parsers_error(demo_lexicon):
-    # Tokens of "{~N} without {N'}.", which parse_template refuses.
+def test_hand_built_schema_without_a_base_slot_raises_the_parsers_error():
+    # Tokens of "{~N} without {N'}.", which parse_template refuses, so no
+    # Schema holding them is built for generation or detection to meet.
     tokens = (SlotToken(SlotSpec(PartOfSpeech.NOUN, Relation.ANTONYM, 0, (), 0)),
               LiteralToken(" without "),
               SlotToken(SlotSpec(PartOfSpeech.NOUN, Relation.SYNONYM, 1, (), 0)),
               LiteralToken("."))
-    uses = [lambda s: s.compiled, lambda s: s.base_ordinal(0),
-            lambda s: generate(demo_lexicon, s, seed=1),
-            lambda s: classify(demo_lexicon, [s], "Slavery without freedom.")]
-    for use in uses:
-        with pytest.raises(TemplateError, match="^group 0 has no bare base slot$") as err:
-            use(Schema("x", SchemaKind.PARADOX, tokens))
-        assert err.value.kind == schema_mod.MISSING_BASE
+    with pytest.raises(TemplateError, match="^group 0 has no bare base slot$") as err:
+        Schema("x", SchemaKind.PARADOX, tokens)
+    assert err.value.kind == schema_mod.MISSING_BASE
 
 
 def test_registry_has_36_unique_classes():

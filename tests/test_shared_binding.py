@@ -11,8 +11,9 @@ import itertools
 
 import pytest
 
-from antinomy import Lexicon, Schema, SchemaKind, classify, parse_lexicon, parse_template
-from test_detection_oracle import reference_classify
+from antinomy import Schema, SchemaKind, classify, parse_template
+from conftest import lex
+from oracles import reference_classify
 
 TEMPLATES = (
     ("u", "{N} x {N}."),          # ((0, 0),)
@@ -29,8 +30,7 @@ LEXICON = ("love\tN\taffection\thate\naffection\tN\tlove\t\nhate\tN\t\tlove\n"
 
 @pytest.mark.parametrize("floor", [0.0, 0.5, 1.0])
 def test_one_regex_with_several_layouts_matches_the_oracle(floor):
-    lexicon = parse_lexicon(LEXICON)
-    assert isinstance(lexicon, Lexicon)
+    lexicon = lex(LEXICON)
     schemas = [Schema(class_id, SchemaKind.PARADOX, parse_template(dsl))
                for class_id, dsl in TEMPLATES]
     assert len({schema.compiled.regex.pattern for schema in schemas}) == 1

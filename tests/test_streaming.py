@@ -19,8 +19,7 @@ from antinomy import (BadOverrideError, BatchResult, Detection, GeneratedSentenc
                       parse_template, scan_corpus, sub_seed)
 from antinomy.cli import _InputLines, _generated_record, main
 from antinomy.generator import _overrides_per_schema
-from conftest import random_template
-from test_generator_oracle import random_lexicon, random_overrides
+from conftest import random_lexicon, random_overrides, random_template
 
 
 def reference_generate_batch(lexicon: Lexicon, schemas: Sequence[Schema], seed: int,

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from antinomy import (PartOfSpeech, Schema, SchemaKind, classify, detector, normalize,
                       parse_template)
 from antinomy.schema import MAX_SLOT_SPAN
-from conftest import random_template, with_article, with_edges
-from test_detection_oracle import reference_classify
-from test_prefilter import literal_words, one_edit, skeleton_sentence
+from conftest import (literal_words, one_edit, random_template, skeleton_sentence, with_article,
+                      with_edges)
+from oracles import reference_classify
 
 # Templates with no literal token, which every line tries.
 NO_LITERAL = ("{N}", "{N} {~N}", "{N} a(n) {~N}", "A(n) {A} {A'}")
