@@ -24,13 +24,13 @@ Three things are worked out once, not per line:
   registry's plan indexes each schema under its rarest literal token,
   the one the fewest of its schemas require, and one set intersection
   per line picks the schemas to test in full; a schema with no literal
-  token is always tried. Schemas with one regex share it, so each regex
-  runs at most once per line and its captures are read once. Any
-  registry is read into a tuple, and the last plan is kept while the
-  next registry holds the same schemas in the same order: `classify`
-  first tests whether it was given the kept plan's own tuple, which
-  costs no copy. `match_schema` builds its own one-schema plan without
-  replacing the kept one.
+  token is always tried. Schemas with one regex share it, compiled by
+  the first plan that needs it, so each regex runs at most once per line
+  and its captures are read once. Any registry is read into a tuple, and
+  the last plan is kept while the next registry holds the same schemas in
+  the same order: `classify` first tests whether it was given the kept
+  plan's own tuple, which costs no copy. `match_schema` builds its own
+  one-schema plan without replacing the kept one.
 - Records. The plan holds, per schema, the Evidence records each check
   can yield (its own kind, and SuffixInverse or NegInf where its table
   adds those forms) and its group layout, (group id, base ordinal) per
@@ -50,6 +50,7 @@ line's detections as they come holds one line; `scan_corpus` collects them.
 """
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 from operator import attrgetter
@@ -148,6 +149,8 @@ _Check = tuple[int, RelationCheck, int, EvidenceKind, tuple[Evidence], tuple[Evi
 _Layout = tuple[tuple[int, int], ...]
 _GROUP_LAYOUT = attrgetter("group_id", "base_ordinal")
 _RANK_KEY = attrgetter("compiled.rank_key")
+# Kept beyond re's own 512 patterns, so re-planning a catalog compiles nothing.
+_regex = functools.lru_cache(maxsize=4096)(re.compile)
 
 
 class _Unit(NamedTuple):
@@ -189,7 +192,7 @@ def _build_plan(registry: tuple[Schema, ...]) -> _Plan:
     # A schema's rank is its place by rank_key, then by registry order: the sort is stable.
     for rank, schema in enumerate(sorted(registry, key=_RANK_KEY)):
         form = schema.compiled
-        pattern = form.regex.pattern
+        pattern = form.pattern
         layout = tuple(map(_GROUP_LAYOUT, form.groups))
         layout = layouts.setdefault(layout, layout)
         if pattern not in shared:
@@ -213,7 +216,7 @@ def _build_plan(registry: tuple[Schema, ...]) -> _Plan:
                 by_layout.setdefault(member[3], []).append(member)
             members = [member for group in by_layout.values() for member in group]
         low = len(form.specs) - form.rank_key[0]      # rank_key[0] is minus the fixed tokens
-        unit = _record(_Unit, (form.regex, form.required,
+        unit = _record(_Unit, (_regex(pattern), form.required,
                                range(low, low + (MAX_SLOT_SPAN - 1) * len(form.specs) + 1),
                                tuple(members)))
         if form.required:

@@ -7,23 +7,25 @@ whatever its pool's size, so equal (lexicon, schema, seed, overrides)
 always yields the identical sentence. Candidate filtering happens before
 sampling; a group with an empty pool raises NoCandidateError instead of
 rejection loops. A sentence is its schema's render plan with the slots'
-fills put in. A batch is made one item at a time by `iter_batch`, so a
-caller that writes each item as it comes holds one sentence at a time;
-`generate_batch` collects the same items into the tuples of a
-`BatchResult`.
+fills put in, by a draw function of straight-line code that each schema
+compiles to on first use, one code object per shape of schema. A batch
+is made one item at a time by `iter_batch`, so a caller that writes each
+item as it comes holds one sentence at a time; `generate_batch` collects
+the same items into the tuples of a `BatchResult`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+import functools
+import itertools
+import linecache
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon, PartOfSpeech
-from .morphology import apply_derivations, indefinite_article, negated_infinitive
-from .rng import SplitMix64, sub_seed
-from .schema import Binding, GroupPlan, PlanPiece, Relation, Schema, _record
-
-
-# Bound once: on Python 3.11, EnumType's __getattr__ makes each member read slow.
-_IDENTITY, _ANTONYM = Relation.IDENTITY, Relation.ANTONYM
+# Draw functions look these names up here as they run (see _draw_factory).
+from .morphology import apply_derivations, indefinite_article, negated_infinitive  # noqa: F401
+from .rng import SplitMix64, sub_seed  # noqa: F401
+from .schema import (Binding, CompiledSchema, GroupPlan, PlanPiece, Relation, Schema,
+                     _record)
 
 
 class GenerateError(Exception):
@@ -105,62 +107,93 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
     prefer a synonym that is neither the base nor already used by an
     earlier prime slot of the group, relaxing in that order until a pool
     is non-empty. The records are built with `tuple.__new__`, as `classify`
-    builds its own, so no NamedTuple `__new__` runs per sentence.
+    builds its own, so no NamedTuple `__new__` runs per sentence. The work is
+    done by the schema's draw function (see _draw_source), kept on it.
     """
-    rng = SplitMix64(seed)
-    form = schema.compiled
-    overrides = overrides or {}
+    try:
+        draw = schema._draw
+    except AttributeError:
+        form = schema.compiled
+        make = _draw_factory(_draw_source(form))
+        draw = schema.__dict__["_draw"] = make(schema.class_id, form.plan, form.groups, form.specs)
+    return draw(lexicon, seed, overrides)
 
-    bases: dict[int, str] = {}
-    for group in form.groups:
-        gid, pos, _, needs_antonym = group
-        if gid in overrides:
-            word = overrides[gid].lower()
-            reason = _refusal(lexicon, group, word)
-            if reason is not None:
-                raise BadOverrideError(gid, word, reason)
-            bases[gid] = word
-            continue
-        pool = lexicon.words_with_antonyms(pos) if needs_antonym else lexicon.words(pos)
-        if not pool:
-            raise NoCandidateError(schema.class_id, gid)
-        bases[gid] = rng.choice(pool)
 
-    # Each base is a lower-case word with an entry under its group's symbol,
-    # so the stored pools are read by key, with no case folding.
-    antonym_pools, synonym_pools = lexicon._antonym_pools, lexicon._synonym_pools
-    used_synonyms: dict[int, set[str]] = {}
-    realized: list[str] = []
-    for symbol, relation, _, derivations, gid in form.specs:
-        base = bases[gid]
-        if relation is _IDENTITY:
-            word = base
-        elif relation is _ANTONYM:
-            antonyms = antonym_pools[base, symbol]
-            if antonyms:
-                word = rng.choice(antonyms)
-            else:
-                # Candidate filtering leaves this branch to bare verb slots.
-                word = negated_infinitive(base)
-        else:
-            synonyms = synonym_pools[base, symbol]       # holds the base itself
-            used = used_synonyms.get(gid)
-            if used is None:
-                # The group's first synonym slot: no synonym is used yet. A
-                # one-word pool is the base alone, which the filter falls back to.
-                word = rng.choice(synonyms if len(synonyms) == 1
-                                  else [w for w in synonyms if w != base] or synonyms)
-                used_synonyms[gid] = {word}
-            else:
-                unused = [w for w in synonyms if w not in used]
-                pool = ([w for w in unused if w != base] or unused
-                        or [w for w in synonyms if w != base])
-                word = rng.choice(pool) if pool else base
-                used.add(word)
-        realized.append(apply_derivations(word, derivations) if derivations else word)
+# A draw function's lines per step: {i} is a group's ordinal, {k} a slot's,
+# whose word is w{k}. A base is a lower-case word with an entry under its
+# group's symbol, so its stored pools are read by key, with no case folding.
+# Candidate filtering leaves the "not to" fallback to bare verb slots. A
+# group's first synonym slot finds no synonym used yet; its one-word pool
+# (it holds the base) is the base alone, which the filter falls back to. A
+# later one avoids the words {used} of the earlier ones.
+_STEPS = {
+    "group": ("if overrides and gid{i} in overrides:",
+              "    b{i} = overrides[gid{i}].lower()",
+              "    if (reason := _refusal(lexicon, group{i}, b{i})) is not None:",
+              "        raise BadOverrideError(gid{i}, b{i}, reason)",
+              "else:",
+              "    pool = lexicon.{pool}(pos{i})",
+              "    if not pool:",
+              "        raise NoCandidateError(class_id, gid{i})",
+              "    b{i} = choice(pool)"),
+    "identity": ("w{k} = b{i}",),
+    "antonym": ("pool = lexicon._antonym_pools[b{i}, pos{i}]",
+                "w{k} = choice(pool) if pool else negated_infinitive(b{i})"),
+    "synonym": ("pool = lexicon._synonym_pools[b{i}, pos{i}]",
+                "w{k} = choice(pool if len(pool) == 1 else [x for x in pool if x != b{i}] or pool)"),
+    "later synonym": ("pool = lexicon._synonym_pools[b{i}, pos{i}]",
+                      "fresh = [x for x in pool if x not in ({used})]",
+                      "pool = [x for x in fresh if x != b{i}] or fresh or [x for x in pool if x != b{i}]",
+                      "w{k} = choice(pool) if pool else b{i}"),
+}
 
-    binding = _record(Binding, (tuple(bases.items()), tuple(realized)))
-    return _record(GeneratedSentence, (schema.class_id, _fill(form.plan, realized), seed, binding))
+
+def _draw_source(form: CompiledSchema) -> str:
+    """The source of `make(class_id, plan, groups, specs)`, whose `draw(lexicon,
+    seed, overrides)` runs `generate`'s steps for this schema in straight
+    lines: a base word per group, then a fill per slot. It names groups and
+    slots by their ordinals; everything else is an argument of `make`, so no
+    schema or lexicon text enters it and schemas of one shape share it."""
+    index = {group.group_id: i for i, group in enumerate(form.groups)}
+    head = ["def make(class_id, plan, groups, specs):"]
+    steps = ["choice = SplitMix64(seed).choice"]
+    for i, group in enumerate(form.groups):
+        head.append(f"    group{i} = groups[{i}]; gid{i}, pos{i} = group{i}.group_id, group{i}.pos")
+        pool = "words_with_antonyms" if group.needs_antonym else "words"
+        steps += [line.format(i=i, pool=pool) for line in _STEPS["group"]]
+    picked: dict[int, str] = {}     # group ordinal -> the words its synonym slots picked
+    for k, (_, relation, _, derivations, gid) in enumerate(form.specs):
+        i, kind, used = index[gid], relation.value, ""
+        if relation is Relation.SYNONYM:
+            used = picked.get(i, "")
+            kind, picked[i] = "later synonym" if used else "synonym", used + f"w{k}, "
+        steps += [line.format(i=i, k=k, used=used) for line in _STEPS[kind]]
+        if derivations:
+            head.append(f"    d{k} = specs[{k}].derivations")
+            steps.append(f"f{k} = apply_derivations(w{k}, d{k})")
+    realized = "".join(f"f{k}, " if s.derivations else f"w{k}, " for k, s in enumerate(form.specs))
+    bases = "".join(f"(gid{i}, b{i}), " for i in range(len(form.groups)))
+    steps += [f"realized = ({realized})",
+              "return _record(GeneratedSentence, (class_id, _fill(plan, realized), seed,",
+              f"                                   _record(Binding, (({bases}), realized))))"]
+    body = "".join(f"        {line}\n" for line in steps)
+    return "\n".join(head) + f"\n    def draw(lexicon, seed, overrides):\n{body}    return draw\n"
+
+
+_draw_names = itertools.count()
+
+
+@functools.lru_cache(maxsize=256)
+def _draw_factory(source: str) -> Callable[..., Callable[..., GeneratedSentence]]:
+    """The `make` that `source` defines, compiled once per shape. It runs in
+    this module's globals, so SplitMix64 and the morphology functions are
+    looked up when a draw runs; its lines go into linecache, so a traceback
+    through a draw function shows them."""
+    filename = f"<antinomy draw {next(_draw_names)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict[str, object] = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["make"]
 
 
 def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],

@@ -24,7 +24,7 @@ tokens built by hand pass the parser's checks when the Schema is built.
 
 Each schema compiles once, on first use, to a CompiledSchema kept on the
 instance: the template split once at slots and markers, from which both
-detection's anchored regex and generation's render plan are built.
+detection's anchored regex pattern and generation's render plan are built.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import functools
 import itertools
 import re
 from importlib import resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -138,6 +138,10 @@ class Schema:
         instance, so a lookup never hashes the schema's token tree."""
         return _compile_schema(self)
 
+    def __getstate__(self) -> dict[str, object]:
+        # The fields only: generation's draw function cannot be pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def _base_ordinal(specs: Sequence[SlotSpec], group_id: int) -> int:
     """Ordinal of the group's base slot, its first bare slot."""
@@ -190,21 +194,21 @@ class CompiledSchema(NamedTuple):
     a slot whose fill goes there as it is, or a (slot, article, capitalised)
     triple for the fill's indefinite article or the fill, upper-cased first.
 
-    `regex` is matched against a sentence's normalized tokens joined by
-    single spaces. Each element is one space-separated part: an escaped
-    literal token, `(?:a|an)` for an article marker, or a lazy group of
-    one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
+    `pattern` is the regex detection matches against a sentence's normalized
+    tokens joined by single spaces. Each element is one space-separated part:
+    an escaped literal token, `(?:a|an)` for an article marker, or a lazy
+    group of one to MAX_SLOT_SPAN tokens per slot. Backtracking then visits
     alignments leftmost slot first, shortest capture first.
 
-    `required` holds the regex's literal tokens, unescaped, article
-    markers excluded. The regex matches only a sentence that has each of
+    `required` holds the pattern's literal tokens, unescaped, article
+    markers excluded. The pattern matches only a sentence that has each of
     them among its tokens, so a sentence missing one need not be tried.
     """
     specs: tuple[SlotSpec, ...]
     groups: tuple[GroupPlan, ...]             # in order of first appearance
     checks: tuple[tuple[int, RelationCheck, int], ...]  # (slot, check, base slot) per non-base slot
     plan: tuple[PlanPiece, ...]
-    regex: re.Pattern[str]
+    pattern: str
     required: frozenset[str]
     rank_key: tuple[int, tuple[int, str]]     # (-literal token count, class order)
 
@@ -243,7 +247,7 @@ def _compile_schema(schema: Schema) -> CompiledSchema:
         checks=tuple((i, RelationCheck(s.symbol, s.relation, s.derivations), base_of[s.group_id])
                      for i, s in enumerate(specs) if i != base_of[s.group_id]),
         plan=_render_plan(pieces),
-        regex=re.compile(" ".join(parts)),
+        pattern=" ".join(parts),
         required=frozenset(required),
         rank_key=(len(specs) - len(parts), class_sort_key(schema.class_id)),
     )

@@ -168,7 +168,7 @@ def reference_classify(lexicon: Lexicon, registry, sentence: str,
         form = schema.compiled
         if not form.required <= present:
             continue
-        match = form.regex.fullmatch(text)
+        match = re.fullmatch(form.pattern, text)
         if match is None:
             continue
         detection = reference_detection(lexicon, schema, match, sentence_index)

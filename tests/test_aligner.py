@@ -3,6 +3,7 @@ aligner it replaced, which is kept here as the reference."""
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -100,7 +101,7 @@ def reference_captures(elements, tokens) -> tuple[str, ...] | None:
 
 
 def compiled_captures(schema: Schema, tokens: tuple[str, ...]) -> tuple[str, ...] | None:
-    match = schema.compiled.regex.fullmatch(" ".join(tokens))
+    match = re.fullmatch(schema.compiled.pattern, " ".join(tokens))
     return None if match is None else match.groups()
 
 

@@ -56,8 +56,8 @@ def assert_read_back(lexicon: Lexicon, registry, schema: Schema, out: GeneratedS
     found = classify(lexicon, registry, out.sentence)
     assert found, out.sentence
     top = found[0]
-    pattern = schema.compiled.regex.pattern
-    assert any(s.class_id == top.class_id and s.compiled.regex.pattern == pattern
+    pattern = schema.compiled.pattern
+    assert any(s.class_id == top.class_id and s.compiled.pattern == pattern
                for s in registry), (out, top)
     assert top.score == 1.0, (out, top)
     assert top.binding.bases == out.binding.bases, (out, top)

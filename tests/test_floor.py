@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from importlib import resources
 
 from hypothesis import given, settings
@@ -53,7 +54,7 @@ def refilled(rng: random.Random, schema: Schema, sentence: str, words: list[str]
     """The sentence with one slot's capture replaced by a word, so that a
     sentence satisfying every check at times satisfies all but one."""
     text = " ".join(normalize(sentence))
-    match = schema.compiled.regex.fullmatch(text)
+    match = re.fullmatch(schema.compiled.pattern, text)
     if match is None:
         return sentence
     start, end = match.span(rng.randrange(len(schema.compiled.specs)) + 1)

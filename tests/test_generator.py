@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import traceback
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandidateError,
                       PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, classify,
                       generate, generate_batch, parse_template, sub_seed)
+from antinomy import generator
 from antinomy.generator import _fill
 from antinomy.schema import _render_plan
 from conftest import lex, make_schema
@@ -327,3 +332,60 @@ def test_braces_in_literal_text_render_verbatim():
     plan = _render_plan(("{x} is ", 0, " }"))
     assert plan == ("{X} is ", 0, " }")
     assert _fill(plan, ["possible"]) == "{X} is possible }"
+
+
+def test_schemas_of_one_shape_share_one_code_object():
+    # Literal text and class id reach the draw function as arguments, so
+    # two templates that differ only in them run the same code.
+    first = make_schema("1", "All is {A}, the {~A} too.")
+    second = make_schema("2x", "Nothing {A} is ever {~A}!")
+    a, b = generate(OPPOSITES, first, 3), generate(OPPOSITES, second, 3)
+    assert first._draw.__code__ is second._draw.__code__
+    assert first._draw is not second._draw
+    assert (a.class_id, b.class_id) == ("1", "2x")
+    assert b.sentence == f"Nothing {a.binding.realized[0]} is ever {a.binding.realized[1]}!"
+
+
+def test_quotes_backslashes_and_hashes_in_literal_text_print_verbatim():
+    schema = make_schema("q", '''It's "{A}", a back\\slash, """ and # {~A}.''')
+    out = generate(OPPOSITES, schema, 0, {0: "possible"})
+    assert out.sentence == '''It's "possible", a back\\slash, """ and # impossible.'''
+
+
+def test_generate_calls_the_morphology_functions_bound_in_its_module(demo_lexicon, registry,
+                                                                     monkeypatch):
+    # A tracer wraps these names in antinomy.generator, so draw functions
+    # built before the patch must look them up there when they run.
+    for schema in registry:
+        generate(demo_lexicon, schema, 0)
+    calls = {name: 0 for name in ("indefinite_article", "negated_infinitive", "apply_derivations")}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(generator, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(generator, name, counting)
+    for schema in registry:
+        for seed in range(20):
+            generate(demo_lexicon, schema, seed)
+    assert all(calls.values()), calls
+
+
+class _BrokenLexicon(Lexicon):
+    def words(self, pos):
+        raise RuntimeError("no words today")
+
+
+def test_a_traceback_through_a_draw_function_shows_its_line():
+    with pytest.raises(RuntimeError) as info:
+        generate(_BrokenLexicon({}), make_schema("1", "All is {A}."), 0)
+    text = "".join(traceback.format_exception(info.value))
+    assert '<antinomy draw ' in text
+    assert "pool = lexicon.words(pos0)" in text
+
+
+def test_a_schema_that_generated_copies_and_pickles():
+    schema = make_schema("1", "All is {A}, the {~A} too.")
+    out = generate(OPPOSITES, schema, 5)
+    for copied in (pickle.loads(pickle.dumps(schema)), copy.deepcopy(schema), copy.copy(schema)):
+        assert copied == schema and copied.compiled == schema.compiled
+        assert generate(OPPOSITES, copied, 5) == out

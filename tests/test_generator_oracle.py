@@ -20,6 +20,7 @@ from antinomy import (BadOverrideError, Binding, GeneratedSentence, LexEntry, Le
                       NoCandidateError, PartOfSpeech, Relation, Schema, SchemaKind,
                       SlotSpec, apply_derivations, generate, generate_batch,
                       indefinite_article, negated_infinitive, parse_template, sub_seed)
+from antinomy.generator import _draw_source
 from antinomy.schema import ARTICLE_MARKER_RE, LiteralToken, _compile_schema
 from conftest import (random_lexicon, random_overrides, random_template, with_article,
                       with_edges)
@@ -198,13 +199,16 @@ def test_generate_matches_reference_on_drawn_lexicons(data, template_seed):
 
 
 def test_generate_compiles_each_schema_once(demo_lexicon, monkeypatch):
-    calls = []
+    calls, draws = [], []
     monkeypatch.setattr("antinomy.schema._compile_schema",
                         lambda schema: calls.append(schema) or _compile_schema(schema))
+    monkeypatch.setattr("antinomy.generator._draw_source",
+                        lambda form: draws.append(form) or _draw_source(form))
     schema = Schema("u", SchemaKind.PARADOX, parse_template("All is {A}, the {~A} too."))
     for seed in range(6):
         generate(demo_lexicon, schema, seed)
     assert calls == [schema]
+    assert draws == [schema.compiled]
 
 
 def pool_holds(lexicon: Lexicon, schema: Schema, group_id: int, word: str) -> bool:

@@ -415,7 +415,7 @@ def test_every_accepted_lexicon_reads_back_through_detect(source, seed):
     if isinstance(lexicon, ValidationReport):
         return
     registry = builtin_registry()
-    skeleton = {s.class_id: s.compiled.regex.pattern for s in registry}
+    skeleton = {s.class_id: s.compiled.pattern for s in registry}
     for schema in registry:
         try:
             out = generate(lexicon, schema, seed)

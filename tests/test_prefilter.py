@@ -5,6 +5,8 @@ which must return one wherever the schema's regex matches, so a token
 bound that rules out a sentence the regex matches fails here too."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ def reference_classify(lexicon, registry, sentence: str,
     ranked = []
     for schema in registry:
         form = schema.compiled
-        match = form.regex.fullmatch(text)
+        match = re.fullmatch(form.pattern, text)
         if match is None:
             continue
         detection = match_schema(lexicon, schema, sentence, sentence_index)

@@ -46,7 +46,7 @@ RECORDS = [
     (LiteralToken("All is "), ("text",)),
     (SlotToken(_SPEC), ("spec",)),
     (_FORM.groups[0], ("group_id", "pos", "base_ordinal", "needs_antonym")),
-    (_FORM, ("specs", "groups", "checks", "plan", "regex", "required", "rank_key")),
+    (_FORM, ("specs", "groups", "checks", "plan", "pattern", "required", "rank_key")),
 ]
 _IDS = [type(record).__name__ for record, _ in RECORDS]
 

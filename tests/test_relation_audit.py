@@ -10,6 +10,7 @@ detection wherever the schema's regex matches."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,7 +87,7 @@ def refilled_from_reference(rng: random.Random, lexicon: Lexicon, form: Compiled
     """The tokens with one checked slot refilled from the word set that the
     reference reads for its base, or unchanged when none is at hand, so
     that a lexicon pool that drifts from its entry's set shows."""
-    match = form.regex.fullmatch(" ".join(tokens))
+    match = re.fullmatch(form.pattern, " ".join(tokens))
     if match is None or not form.checks:
         return tokens
     slot, spec, base_slot = rng.choice(form.checks)
@@ -133,7 +134,7 @@ def test_audit_matches_reference(rng, demo_lexicon, registry):
     for index, tokens in enumerate(sentences):
         text = " ".join(tokens)
         for schema in schemas:
-            match = schema.compiled.regex.fullmatch(text)
+            match = re.fullmatch(schema.compiled.pattern, text)
             if match is not None:
                 assert (match_schema(lexicon, schema, text, index)
                         == reference_detection(lexicon, schema, match, index)), text

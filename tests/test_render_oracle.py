@@ -176,7 +176,7 @@ def test_markers_at_either_end_and_side_by_side():
 
 def compiled_facts(schema: Schema) -> tuple[str, frozenset[str], tuple[int, tuple[int, str]]]:
     form = schema.compiled
-    return form.regex.pattern, form.required, form.rank_key
+    return form.pattern, form.required, form.rank_key
 
 
 def test_builtin_schemas_compile_as_before(registry):

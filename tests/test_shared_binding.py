@@ -33,7 +33,7 @@ def test_one_regex_with_several_layouts_matches_the_oracle(floor):
     lexicon = lex(LEXICON)
     schemas = [Schema(class_id, SchemaKind.PARADOX, parse_template(dsl))
                for class_id, dsl in TEMPLATES]
-    assert len({schema.compiled.regex.pattern for schema in schemas}) == 1
+    assert len({schema.compiled.pattern for schema in schemas}) == 1
     assert len({tuple((g.group_id, g.base_ordinal) for g in schema.compiled.groups)
                 for schema in schemas}) == 3
     scores = set()
