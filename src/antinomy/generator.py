@@ -6,9 +6,9 @@ lexicon, and each choice point advances the stream by exactly one step,
 whatever its pool's size, so equal (lexicon, schema, seed, overrides)
 always yields the identical sentence. Candidate filtering happens before
 sampling; a group with an empty pool raises NoCandidateError instead of
-rejection loops. A sentence is its schema's render plan with the slots'
-fills put in, by a draw function of straight-line code that each schema
-compiles to on first use, one code object per shape of schema. A batch
+rejection loops. Each schema compiles on first use to a draw function of
+straight-line code, one code object per shape of schema, that picks the
+words and prints the render plan with them in one f-string. A batch
 is made one item at a time by `iter_batch`, so a caller that writes each
 item as it comes holds one sentence at a time; `generate_batch` collects
 the same items into the tuples of a `BatchResult`.
@@ -16,7 +16,6 @@ the same items into the tuples of a `BatchResult`.
 from __future__ import annotations
 
 import functools
-import itertools
 import linecache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -68,18 +67,11 @@ class BatchResult(NamedTuple):
 
 
 def _fill(plan: Sequence[PlanPiece], realized: Sequence[str]) -> str:
-    """The sentence: the schema's render plan with the slots' fills put in."""
-    parts = []
-    for piece in plan:
-        if piece.__class__ is str:
-            parts.append(piece)
-        elif piece.__class__ is int:
-            parts.append(realized[piece])
-        else:
-            slot, article, capitalised = piece
-            word = indefinite_article(realized[slot]) if article else realized[slot]
-            parts.append(word[0].upper() + word[1:] if capitalised else word)
-    return "".join(parts)
+    """The sentence: the render plan with the slots' fills put in, by the
+    code `_render` writes for it, as a draw function does."""
+    head, lines, text = _render(plan, "realized[{}]".format)
+    make = _draw_factory(_source("plan", head, "realized", [*lines, f"return {text}"]))
+    return make(plan)(realized)
 
 
 def _refusal(lexicon: Lexicon, group: GroupPlan, word: str) -> str | None:
@@ -119,13 +111,13 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
     return draw(lexicon, seed, overrides)
 
 
-# A draw function's lines per step: {i} is a group's ordinal, {k} a slot's,
-# whose word is w{k}. A base is a lower-case word with an entry under its
-# group's symbol, so its stored pools are read by key, with no case folding.
-# Candidate filtering leaves the "not to" fallback to bare verb slots. A
-# group's first synonym slot finds no synonym used yet; its one-word pool
-# (it holds the base) is the base alone, which the filter falls back to. A
-# later one avoids the words {used} of the earlier ones.
+# A draw function's lines per step, before `_render`'s print the sentence: {i}
+# is a group's ordinal, {k} a slot's, whose word is w{k}. A base is a lower-case
+# word with an entry under its group's symbol, so its stored pools are read by
+# key, with no case folding. Candidate filtering leaves the "not to" fallback to
+# bare verb slots. A group's first synonym slot finds no synonym used yet; its
+# one-word pool (it holds the base) is the base alone, which the filter falls
+# back to. A later one avoids the words {used} of the earlier ones.
 _STEPS = {
     "group": ("if overrides and gid{i} in overrides:",
               "    b{i} = overrides[gid{i}].lower()",
@@ -148,17 +140,43 @@ _STEPS = {
 }
 
 
+def _render(plan: Sequence[PlanPiece],
+            fill: Callable[[int], str]) -> tuple[list[str], list[str], str]:
+    """The one rule that prints a render plan, as code: `make` lines binding its
+    `plan` argument's literal piece j to p{j}, draw lines putting articles in
+    a{j}, and the sentence's f-string, where `fill(k)` names slot k's fill."""
+    head, lines, parts = [], [], []
+    for j, piece in enumerate(plan):
+        if piece.__class__ is str:
+            head.append(f"p{j} = plan[{j}]")
+            parts.append(f"p{j}")
+            continue
+        slot, article, capitalised = (piece, False, False) if piece.__class__ is int else piece
+        word = fill(slot)
+        if article:
+            lines.append(f"a{j} = indefinite_article({word})")
+            word = f"a{j}"
+        parts += [f"{word}[0].upper()", f"{word}[1:]"] if capitalised else [word]
+    return head, lines, 'f"' + "".join(f"{{{part}}}" for part in parts) + '"'
+
+
+def _source(params: str, head: Sequence[str], args: str, steps: Sequence[str]) -> str:
+    """The source of `make(params)`: it runs `head`, then returns `draw(args)`."""
+    return "".join([f"def make({params}):\n", *(f"    {line}\n" for line in head),
+                    f"    def draw({args}):\n", *(f"        {line}\n" for line in steps),
+                    "    return draw\n"])
+
+
 def _draw_source(form: CompiledSchema) -> str:
     """The source of `make(class_id, plan, groups, specs)`, whose `draw(lexicon,
     seed, overrides)` runs `generate`'s steps for this schema in straight
-    lines: a base word per group, then a fill per slot. It names groups and
-    slots by their ordinals; everything else is an argument of `make`, so no
-    schema or lexicon text enters it and schemas of one shape share it."""
+    lines: a base word per group, a fill per slot, the sentence as `_render`
+    prints it. Groups, slots and pieces go by ordinal; all else is an argument
+    of `make`, so no schema or lexicon text enters it: one shape, one source."""
     index = {group.group_id: i for i, group in enumerate(form.groups)}
-    head = ["def make(class_id, plan, groups, specs):"]
-    steps = ["choice = SplitMix64(seed).choice"]
+    head, steps = [], ["choice = SplitMix64(seed).choice"]
     for i, group in enumerate(form.groups):
-        head.append(f"    group{i} = groups[{i}]; gid{i}, pos{i} = group{i}.group_id, group{i}.pos")
+        head.append(f"group{i} = groups[{i}]; gid{i}, pos{i} = group{i}.group_id, group{i}.pos")
         pool = "words_with_antonyms" if group.needs_antonym else "words"
         steps += [line.format(i=i, pool=pool) for line in _STEPS["group"]]
     picked: dict[int, str] = {}     # group ordinal -> the words its synonym slots picked
@@ -169,27 +187,29 @@ def _draw_source(form: CompiledSchema) -> str:
             kind, picked[i] = "later synonym" if used else "synonym", used + f"w{k}, "
         steps += [line.format(i=i, k=k, used=used) for line in _STEPS[kind]]
         if derivations:
-            head.append(f"    d{k} = specs[{k}].derivations")
+            head.append(f"d{k} = specs[{k}].derivations")
             steps.append(f"f{k} = apply_derivations(w{k}, d{k})")
-    realized = "".join(f"f{k}, " if s.derivations else f"w{k}, " for k, s in enumerate(form.specs))
+    fills = [f"f{k}" if s.derivations else f"w{k}" for k, s in enumerate(form.specs)]
+    plan_head, render, text = _render(form.plan, fills.__getitem__)
+    realized = "".join(f"{fill}, " for fill in fills)
     bases = "".join(f"(gid{i}, b{i}), " for i in range(len(form.groups)))
-    steps += [f"realized = ({realized})",
-              "return _record(GeneratedSentence, (class_id, _fill(plan, realized), seed,",
+    steps += [f"realized = ({realized})", *render,
+              f"return _record(GeneratedSentence, (class_id, {text}, seed,",
               f"                                   _record(Binding, (({bases}), realized))))"]
-    body = "".join(f"        {line}\n" for line in steps)
-    return "\n".join(head) + f"\n    def draw(lexicon, seed, overrides):\n{body}    return draw\n"
+    return _source("class_id, plan, groups, specs", head + plan_head,
+                   "lexicon, seed, overrides", steps)
 
 
-_draw_names = itertools.count()
+_draw_names: dict[str, str] = {}    # source -> its file name, one per shape ever compiled
 
 
 @functools.lru_cache(maxsize=256)
 def _draw_factory(source: str) -> Callable[..., Callable[..., GeneratedSentence]]:
     """The `make` that `source` defines, compiled once per shape. It runs in
     this module's globals, so SplitMix64 and the morphology functions are
-    looked up when a draw runs; its lines go into linecache, so a traceback
-    through a draw function shows them."""
-    filename = f"<antinomy draw {next(_draw_names)}>"
+    looked up when a draw runs; its lines go into linecache, under one file
+    name per source, so a traceback through a draw function shows them."""
+    filename = _draw_names.setdefault(source, f"<antinomy draw {len(_draw_names)}>")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict[str, object] = {}
     exec(compile(source, filename, "exec"), globals(), namespace)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import linecache
 import pickle
+import random
 import traceback
 
 import pytest
@@ -12,9 +14,9 @@ from antinomy import (BadOverrideError, LexEntry, Lexicon, LiteralToken, NoCandi
                       PartOfSpeech, SchemaKind, Schema, SlotToken, SplitMix64, classify,
                       generate, generate_batch, parse_template, sub_seed)
 from antinomy import generator
-from antinomy.generator import _fill
+from antinomy.generator import _draw_source, _fill
 from antinomy.schema import _render_plan
-from conftest import lex, make_schema
+from conftest import lex, make_schema, random_template, with_article, with_edges
 from oracles import ReferenceSplitMix64
 
 N = PartOfSpeech.NOUN
@@ -352,6 +354,51 @@ def test_quotes_backslashes_and_hashes_in_literal_text_print_verbatim():
     assert out.sentence == '''It's "possible", a back\\slash, """ and # impossible.'''
 
 
+# Text that would end, escape or format a string literal or an f-string.
+_QUOTES = '%s \\ \' " """ \\n '
+_HAZARDS = "{ } {0} {{x}} " + _QUOTES
+
+
+def test_fstring_hazards_in_literal_text_print_verbatim_through_generate():
+    # The parser rejects braces, so the plan's literal pieces are replaced
+    # after parsing: at the start, in the middle and at the end.
+    schema = make_schema("h", "x {A} x {~A} x")
+    plan = (_HAZARDS, 0, _HAZARDS + "a ", (1, True, False), " ", 1, _HAZARDS)
+    schema.__dict__["compiled"] = schema.compiled._replace(plan=plan)
+    out = generate(OPPOSITES, schema, 0, {0: "possible"})
+    assert out.sentence == f"{_HAZARDS}possible{_HAZARDS}a an impossible{_HAZARDS}"
+    parsed = make_schema("q", f"{_QUOTES}{{A}}{_QUOTES}{{~A}}{_QUOTES}")
+    out = generate(OPPOSITES, parsed, 0, {0: "possible"})
+    assert out.sentence == f"%S{_QUOTES[2:]}possible{_QUOTES}impossible{_QUOTES}"
+
+
+def test_the_builtins_share_nineteen_draw_code_objects(demo_lexicon, registry):
+    # Literal text reaches the draw functions as arguments; were it in their
+    # source, each of the 36 built-ins would have a code object of its own.
+    for schema in registry:
+        generate(demo_lexicon, schema, 0)
+    assert len({schema._draw.__code__ for schema in registry}) == 19
+
+
+def test_fill_renders_as_generate_does_on_the_builtins(demo_lexicon, registry):
+    for schema in registry:
+        for seed in range(100):
+            out = generate(demo_lexicon, schema, seed)
+            assert out.sentence == _fill(schema.compiled.plan, out.binding.realized)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_fill_renders_as_generate_does_on_random_templates(demo_lexicon, seed):
+    rng = random.Random(seed)
+    schema = make_schema("u", with_edges(rng, with_article(rng, random_template(rng))))
+    try:
+        out = generate(demo_lexicon, schema, seed)
+    except NoCandidateError:
+        return
+    assert out.sentence == _fill(schema.compiled.plan, out.binding.realized)
+
+
 def test_generate_calls_the_morphology_functions_bound_in_its_module(demo_lexicon, registry,
                                                                      monkeypatch):
     # A tracer wraps these names in antinomy.generator, so draw functions
@@ -381,6 +428,35 @@ def test_a_traceback_through_a_draw_function_shows_its_line():
     text = "".join(traceback.format_exception(info.value))
     assert '<antinomy draw ' in text
     assert "pool = lexicon.words(pos0)" in text
+
+
+def _draw_files() -> set[str]:
+    return {name for name in linecache.cache if name.startswith("<antinomy draw ")}
+
+
+def test_a_recompiled_shape_keeps_its_one_linecache_entry():
+    rng = random.Random(5)
+    texts = [with_edges(rng, with_article(rng, random_template(rng))) for _ in range(40)]
+    shapes = {_draw_source(make_schema("u", text).compiled) for text in texts}
+    before = _draw_files()
+    for _ in range(3):
+        generator._draw_factory.cache_clear()
+        for text in texts:
+            try:
+                generate(OPPOSITES, make_schema("u", text), 0)
+            except NoCandidateError:
+                pass
+    assert len(_draw_files() - before) <= len(shapes)
+    files = []
+    for _ in range(2):
+        generator._draw_factory.cache_clear()
+        with pytest.raises(RuntimeError) as info:
+            generate(_BrokenLexicon({}), make_schema("1", "All is {A}."), 0)
+        text = "".join(traceback.format_exception(info.value))
+        assert "pool = lexicon.words(pos0)" in text
+        files += [frame.filename for frame in traceback.extract_tb(info.tb)
+                  if frame.filename.startswith("<antinomy draw ")]
+    assert len(files) == 2 and files[0] == files[1]
 
 
 def test_a_schema_that_generated_copies_and_pickles():
