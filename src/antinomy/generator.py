@@ -7,8 +7,9 @@ whatever its pool's size, so equal (lexicon, schema, seed, overrides)
 always yields the identical sentence. Candidate filtering happens before
 sampling; a group with an empty pool raises NoCandidateError instead of
 rejection loops. Each schema compiles on first use to a draw function of
-straight-line code, one code object per shape of schema, that picks the
-words and prints the render plan with them in one f-string. A batch
+straight-line code, one code object per shape of schema, that holds only
+the draw and the print: it picks the words (plain functions raise for a
+refused override or an empty pool) and prints them in one f-string. A batch
 is made one item at a time by `iter_batch`, so a caller that writes each
 item as it comes holds one sentence at a time; `generate_batch` collects
 the same items into the tuples of a `BatchResult`.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import linecache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .lexicon import Lexicon, PartOfSpeech
 # Draw functions look these names up here as they run (see _draw_factory).
@@ -74,17 +75,22 @@ def _fill(plan: Sequence[PlanPiece], realized: Sequence[str]) -> str:
     return make(plan)(realized)
 
 
-def _refusal(lexicon: Lexicon, group: GroupPlan, word: str) -> str | None:
-    """Why the group cannot take the lower-case `word` as its base word,
-    or None when the pool the group draws from holds it:
-    words_with_antonyms(pos) if the group needs an antonym, else words(pos)."""
-    pos = group.pos
+def _pinned(lexicon: Lexicon, group: GroupPlan, word: str) -> str:
+    """The lower-cased `word` if the group's pool holds it (words_with_antonyms(pos)
+    if the group needs an antonym, else words(pos)); else BadOverrideError says why."""
+    word, pos = word.lower(), group.pos
     if lexicon.entry(word, pos) is None:
-        return f"not a known {pos.value} word"
-    if group.needs_antonym and not lexicon.antonyms(word, pos):
-        return ("word has no antonym and is not a verb" if pos is not PartOfSpeech.VERB
-                else "verb has no antonym for its derived antonym slot")
-    return None
+        reason = f"not a known {pos.value} word"
+    elif group.needs_antonym and not lexicon.antonyms(word, pos):
+        reason = ("word has no antonym and is not a verb" if pos is not PartOfSpeech.VERB
+                  else "verb has no antonym for its derived antonym slot")
+    else:
+        return word
+    raise BadOverrideError(group.group_id, word, reason)
+
+
+def _no_candidate(class_id: str, group_id: int) -> NoReturn:
+    raise NoCandidateError(class_id, group_id)
 
 
 def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
@@ -112,22 +118,17 @@ def generate(lexicon: Lexicon, schema: Schema, seed: int = 0,
 
 
 # A draw function's lines per step, before `_render`'s print the sentence: {i}
-# is a group's ordinal, {k} a slot's, whose word is w{k}. A base is a lower-case
+# is a group's ordinal, {k} a slot's, whose word is w{k}. It holds only the draw
+# and the print: _pinned and _no_candidate raise for it. A base is a lower-case
 # word with an entry under its group's symbol, so its stored pools are read by
 # key, with no case folding. Candidate filtering leaves the "not to" fallback to
 # bare verb slots. A group's first synonym slot finds no synonym used yet; its
 # one-word pool (it holds the base) is the base alone, which the filter falls
 # back to. A later one avoids the words {used} of the earlier ones.
 _STEPS = {
-    "group": ("if overrides and gid{i} in overrides:",
-              "    b{i} = overrides[gid{i}].lower()",
-              "    if (reason := _refusal(lexicon, group{i}, b{i})) is not None:",
-              "        raise BadOverrideError(gid{i}, b{i}, reason)",
-              "else:",
-              "    pool = lexicon.{pool}(pos{i})",
-              "    if not pool:",
-              "        raise NoCandidateError(class_id, gid{i})",
-              "    b{i} = choice(pool)"),
+    "group": ("pool = lexicon.{pool}(pos{i})",
+              "b{i} = (_pinned(lexicon, group{i}, overrides[gid{i}]) if overrides and gid{i} in overrides",
+              "      else choice(pool or _no_candidate(class_id, gid{i})))"),
     "identity": ("w{k} = b{i}",),
     "antonym": ("pool = lexicon._antonym_pools[b{i}, pos{i}]",
                 "w{k} = choice(pool) if pool else negated_infinitive(b{i})"),
@@ -219,29 +220,28 @@ def _draw_factory(source: str) -> Callable[..., Callable[..., GeneratedSentence]
 def _overrides_per_schema(lexicon: Lexicon, schemas: Sequence[Schema],
                           overrides: Mapping[int, str]) -> list[dict[int, str]]:
     """Per schema, the overrides whose group there accepts the word (see
-    _refusal). An override that no schema's group accepts raises
+    _pinned). An override that no schema's group accepts raises
     BadOverrideError: first one whose group no schema has, in the order
-    given, then the one refused first, with that group's reason."""
+    given, then the one refused first, as its group refused it."""
     if not overrides:
         return [{} for _ in schemas]      # and compile no schema
     per_schema: list[dict[int, str]] = []
-    refusals: dict[int, str] = {}
+    refusals: dict[int, BadOverrideError] = {}
     for schema in schemas:
         accepted: dict[int, str] = {}
         for group in schema.compiled.groups:
             gid = group.group_id
             if gid in overrides:
-                reason = _refusal(lexicon, group, overrides[gid].lower())
-                if reason is None:
-                    accepted[gid] = overrides[gid]
-                else:
-                    refusals.setdefault(gid, reason)
+                try:
+                    accepted[gid] = _pinned(lexicon, group, overrides[gid])
+                except BadOverrideError as err:
+                    refusals.setdefault(gid, err)
         per_schema.append(accepted)
     taken = {gid for accepted in per_schema for gid in accepted}
     for gid in [g for g in overrides if g not in refusals] + list(refusals):
         if gid not in taken:
-            reason = refusals.get(gid, f"no selected class has group {gid}")
-            raise BadOverrideError(gid, overrides[gid].lower(), reason)
+            raise refusals.get(gid) or BadOverrideError(
+                gid, overrides[gid].lower(), f"no selected class has group {gid}")
     return per_schema
 
 

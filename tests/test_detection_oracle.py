@@ -8,8 +8,10 @@ the hand-written suffix inverses in oracles.py, whose forward forms the
 tables hold. Then the caches' own safety. The kept plan serves any registry that holds equal
 schemas in the same order: one list classified again, a list and a tuple
 of the same schemas, and equal copies of them share one plan, while a
-changed list gets a new one. A one-schema match leaves the kept plan in
-place, and unknown words leave the memo as it was."""
+changed list gets a new one, and calls that alternate over several
+registries, each passed as a tuple, a list and equal copies, classify as
+the oracle does. A one-schema match leaves the kept plan in place, and
+unknown words leave the memo as it was."""
 from __future__ import annotations
 
 import random
@@ -214,6 +216,33 @@ def test_equal_schemas_reuse_the_kept_plan(registry, monkeypatch):
             for index, line in enumerate(lines)] == expected
     assert [found for _, _, found in iter_scan(lexicon, copies, lines, 0.0)] == expected
     assert built == [registry]
+
+
+@settings(deadline=None, max_examples=100)
+@given(rng=st.randoms(use_true_random=False))
+def test_calls_alternating_over_registries_match_the_oracle(rng, registry):
+    # Each call may meet the plan another registry left, so one compared
+    # wrongly, or kept too long, classifies a line against the wrong schemas.
+    lexicon = random_lexicon(rng)
+    registries = [random_registry(rng, registry) for _ in range(rng.randint(2, 4))]
+    vocabulary = sorted({w for pos in PartOfSpeech for w in lexicon.words(pos)}
+                        | {w for schemas in registries for schema in schemas
+                           for w in literal_words(schema)})
+    lines = [prose_line(rng, vocabulary), ""]
+    for schema in rng.sample([s for schemas in registries for s in schemas], 8):
+        try:
+            lines.append(generate(lexicon, schema, rng.getrandbits(64)).sentence)
+        except GenerateError:
+            lines.append(skeleton_sentence(rng, schema, vocabulary))
+    passed = [(r, form) for r, schemas in enumerate(registries)
+              for form in (tuple(schemas), list(schemas),
+                           [Schema(s.class_id, s.kind, s.tokens, s.label) for s in schemas])]
+    expected: dict[tuple[int, int], list] = {}
+    for _ in range(40):
+        (r, schemas), index = rng.choice(passed), rng.randrange(len(lines))
+        if (r, index) not in expected:
+            expected[r, index] = reference_classify(lexicon, registries[r], lines[index], index)
+        assert classify(lexicon, schemas, lines[index], index) == expected[r, index]
 
 
 def test_unknown_words_leave_the_memo_as_it_was(registry):

@@ -270,8 +270,40 @@ def test_bad_override_word_without_antonym():
 
 def test_override_on_foreign_group_is_ignored():
     schema = make_schema("1", "All is {A}, the {~A} too.")
-    out = generate(OPPOSITES, schema, seed=4, overrides={7: "possible"})
-    assert out.sentence == generate(OPPOSITES, schema, seed=4).sentence
+    for word in ("possible", "POSSIBLE"):
+        out = generate(OPPOSITES, schema, seed=4, overrides={7: word})
+        assert out.sentence == generate(OPPOSITES, schema, seed=4).sentence
+
+
+def test_an_override_takes_no_draw_from_the_stream():
+    # So the group after a pinned one draws first, as it would on its own.
+    nouns = lex("possible\tA\t\timpossible\nimpossible\tA\t\tpossible\n"
+                "bus\tN\t\t\ncar\tN\t\t\nhell\tN\t\t\n")
+    pinned, alone = make_schema("2", "{A} or {N}."), make_schema("3", "{N}.")
+    drawn = set()
+    for seed in range(20):
+        out = generate(nouns, pinned, seed, {0: "impossible"})
+        noun = out.binding.bases[1][1]
+        assert noun == generate(nouns, alone, seed).binding.bases[0][1]
+        drawn.add(noun)
+    assert drawn == {"bus", "car", "hell"}
+
+
+# A draw judges its groups in order, so the first group that fails names the
+# error, whether its pool is empty or its override is refused.
+def test_an_empty_pool_before_a_refused_override_raises_no_candidate():
+    schema = make_schema("2", "{N} or {A}, never {~A}.")    # no nouns in OPPOSITES
+    with pytest.raises(NoCandidateError) as err:
+        generate(OPPOSITES, schema, 0, {1: "gleeb"})
+    assert (err.value.class_id, err.value.group_id) == ("2", 0)
+
+
+def test_a_refused_override_before_an_empty_pool_raises_bad_override():
+    schema = make_schema("3", "{A} or {N}.")
+    with pytest.raises(BadOverrideError) as err:
+        generate(OPPOSITES, schema, 0, {0: "Gleeb"})
+    assert (err.value.group_id, err.value.word) == (0, "gleeb")
+    assert str(err.value) == "override 0=gleeb: not a known A word"
 
 
 def test_batch_uses_schema_major_sub_seeds():
@@ -378,6 +410,17 @@ def test_the_builtins_share_nineteen_draw_code_objects(demo_lexicon, registry):
     for schema in registry:
         generate(demo_lexicon, schema, 0)
     assert len({schema._draw.__code__ for schema in registry}) == 19
+
+
+def test_the_builtin_draw_sources_hold_only_the_draw_and_the_print(registry):
+    # Refusals and empty pools are raised by plain functions the draw calls,
+    # so no source carries an error branch, and each group takes 3 lines.
+    sources = {_draw_source(schema.compiled) for schema in registry}
+    assert len(sources) == 19
+    for source in sources:
+        for name in ("raise", "BadOverrideError", "NoCandidateError"):
+            assert name not in source, source
+    assert sum(source.count("\n") for source in sources) <= 360
 
 
 def test_fill_renders_as_generate_does_on_the_builtins(demo_lexicon, registry):
